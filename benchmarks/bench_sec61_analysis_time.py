@@ -7,7 +7,9 @@ shape to reproduce is *incremental ≪ full* and the 614-of-669 file
 selection.
 """
 
-from repro.core.engine import OFenceEngine
+import itertools
+
+from repro.core.engine import KernelSource, OFenceEngine
 from repro.core.report import render_table
 
 
@@ -38,13 +40,27 @@ def test_sec61_full_analysis(benchmark, paper_corpus, emit):
 
 
 def test_sec61_incremental_update(benchmark, paper_corpus, emit):
-    engine = OFenceEngine(paper_corpus.source)
+    source = KernelSource(
+        files=dict(paper_corpus.source.files),
+        headers=paper_corpus.source.headers,
+        file_options=paper_corpus.source.file_options,
+    )
+    engine = OFenceEngine(source)
     full = engine.analyze()
-    path = paper_corpus.source.files_with_barriers()[0]
+    # A config-enabled file: a skipped one would time no scan at all.
+    path = engine.selected_files()[0][0]
+    original = source.files[path]
+    edits = itertools.count(1)
+
+    def edit_file():
+        # A trailing comment changes the file's scan key but none of its
+        # sites, so every round re-scans exactly this file.
+        return (path, f"{original}\n/* edit {next(edits)} */\n"), {}
 
     result = benchmark.pedantic(
-        engine.reanalyze_file, args=(path,), rounds=3, iterations=1
+        engine.reanalyze_file, setup=edit_file, rounds=3, iterations=1
     )
+    assert result.profile.counters.get("scan.scanned") == 1
     rows = [
         ("Full scan stage (s)", f"{full.stage_seconds['scan']:.2f}"),
         ("Incremental scan stage (s)",
@@ -57,5 +73,5 @@ def test_sec61_incremental_update(benchmark, paper_corpus, emit):
     ))
     # The shape: re-scanning one file is far cheaper than the full scan.
     assert result.stage_seconds["scan"] < full.stage_seconds["scan"] / 10
-    # Pairing results stay identical after a no-op re-analysis.
+    # Pairing results stay identical after a site-preserving edit.
     assert len(result.pairing.pairings) == len(full.pairing.pairings)

@@ -2,23 +2,20 @@
 
 Every checker registers one :class:`CheckerSpec` describing what it
 needs and what it produces — name, deviation kinds, report bucket,
-ordering constraints, required inputs, shardability, claims protocol,
-and the wire codec its findings/claims cross shard boundaries with.
-Every dispatch layer is driven from here:
+ordering constraints, required inputs, and claims protocol.  Every
+dispatch layer is driven from here:
 
 * :class:`~repro.checkers.runner.CheckerSuite` composes and orders the
   enabled checkers from the specs (``ALL_CHECKS``, report buckets, the
-  Table 3 breakdown all derive from the registry);
-* the executor worker runs whatever shardable specs the parent requests,
-  threading claims in registry order;
-* the engine decodes shard results through each spec's codec;
-* the serve/cluster shard protocol, CLI ``--checks`` validation,
-  per-checker metrics, and the findings store's checker-kind filters all
-  key off the registered metadata.
+  Table 3 breakdown all derive from the registry), threading claims in
+  registry order;
+* CLI ``--checks`` validation, serve/cluster job options, per-checker
+  metrics, and the findings store's checker-kind filters all key off
+  the registered metadata.
 
 Adding a checker is therefore registration-only: write the module, add a
-spec here, and the suite, executor, serve, and cluster tiers pick it up
-without edits (see ``docs/architecture.md``, "Checker plugin API").
+spec here, and every tier picks it up without edits (see
+``docs/architecture.md``, "Checker plugin API").
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.checkers.model import DeviationKind, Finding
+from repro.checkers.model import DeviationKind
 
 #: Report buckets, in run order.  The bucket rank is the primary
 #: ordering constraint: every ordering checker runs before unneeded
@@ -48,9 +45,7 @@ INPUT_CORPUS = "corpus-global"     # needs run-wide context (all pairings
 class CheckContext:
     """Everything a checker may consume, independent of the call site.
 
-    The suite builds one per run; the executor worker builds one per
-    shard (with ``pairings``/``check_list`` restricted to the chunk).
-    ``claimed`` accumulates (id(pairing), object) claims in registry
+    The suite builds one per run.  ``claimed`` accumulates (id(pairing), object) claims in registry
     order, so claim consumers see every earlier checker's claims.
     """
 
@@ -64,72 +59,6 @@ class CheckContext:
     #: ``id(pairing)`` of pairings with ordering findings (annotate-last
     #: input; populated by the suite after the ordering bucket ran).
     buggy_pairings: set = field(default_factory=set)
-
-
-class WireCodec:
-    """Default shard wire codec: findings as :class:`FindingWire`,
-    claims as ``(entry index, object key)`` pairs.
-
-    Encoding happens worker-side against shard-local site/use refs;
-    decoding parent-side re-binds every ref against the engine's cached
-    sites (identity matters downstream — a single miss aborts the shard
-    and the checker re-runs inline).
-    """
-
-    def encode_finding(self, finding: Finding, entry_of: dict,
-                       site_refs: dict, use_refs: dict):
-        from repro.exec.protocol import encode_finding
-
-        return encode_finding(
-            finding, entry_of[id(finding.pairing)], site_refs, use_refs
-        )
-
-    def decode_finding(self, wire, check_list, site_at, use_at):
-        """Re-bound :class:`Finding`, or None on any ref miss."""
-        if wire.entry >= len(check_list):
-            return None
-        barrier = site_at(wire.barrier)
-        if wire.barrier is not None and barrier is None:
-            return None
-        use = use_at(wire.use)
-        if wire.use is not None and use is None:
-            return None
-        reference_use = use_at(wire.reference_use)
-        if wire.reference_use is not None and reference_use is None:
-            return None
-        return Finding(
-            kind=wire.kind,
-            filename=wire.filename,
-            function=wire.function,
-            line=wire.line,
-            explanation=wire.explanation,
-            fix_action=wire.fix_action,
-            object_key=wire.object_key,
-            barrier=barrier,
-            pairing=check_list[wire.entry],
-            use=use,
-            reference_use=reference_use,
-            details=dict(wire.details),
-        )
-
-    def encode_claims(self, claimed: set, entry_of: dict) -> list:
-        """Deterministic wire form of pairing-local claims."""
-        return [
-            (entry_of[pid], key)
-            for pid, key in sorted(
-                claimed, key=lambda ck: (entry_of[ck[0]], str(ck[1]))
-            )
-        ]
-
-    def decode_claims(self, pairs: list, check_list: list) -> set:
-        return {
-            (id(check_list[entry]), key)
-            for entry, key in pairs
-            if entry < len(check_list)
-        }
-
-
-_DEFAULT_CODEC = WireCodec()
 
 
 @dataclass(frozen=True)
@@ -152,15 +81,10 @@ class CheckerSpec:
     order: int = 0
     #: Names that must be ordered before this spec (same bucket).
     after: tuple[str, ...] = ()
-    #: True when the checker may run on a contiguous shard of the check
-    #: list out-of-process: its per-chunk output must equal the serial
-    #: output restricted to the chunk.
-    cfg_shardable: bool = False
     #: Claims protocol: emitters add (id(pairing), key) claims;
     #: consumers read every earlier checker's claims from the context.
     emits_claims: bool = False
     consumes_claims: bool = False
-    codec: WireCodec = _DEFAULT_CODEC
 
 
 _REGISTRY: dict[str, CheckerSpec] = {}
@@ -177,11 +101,6 @@ def register(spec: CheckerSpec) -> CheckerSpec:
     if spec.bucket not in _BUCKET_RANK:
         raise RegistrationError(
             f"checker {spec.name!r}: unknown bucket {spec.bucket!r}"
-        )
-    if spec.cfg_shardable and spec.bucket != ORDERING:
-        raise RegistrationError(
-            f"checker {spec.name!r}: only ordering checkers shard over "
-            f"the check list"
         )
     _REGISTRY[spec.name] = spec
     return spec
@@ -237,11 +156,6 @@ def ordered_specs() -> tuple[CheckerSpec, ...]:
 
 def bucket_specs(bucket: str) -> tuple[CheckerSpec, ...]:
     return tuple(s for s in ordered_specs() if s.bucket == bucket)
-
-
-def shardable_specs() -> tuple[CheckerSpec, ...]:
-    """Specs a shard runner may execute out-of-process, in run order."""
-    return tuple(s for s in ordered_specs() if s.cfg_shardable)
 
 
 def checker_for_kind(kind: DeviationKind) -> str | None:
@@ -308,7 +222,7 @@ def _run_seqcount(ctx: CheckContext):
     from repro.checkers.seqcount import SeqcountChecker
 
     # Broadcast slices are non-multi, so running over the check list
-    # (what shards carry) emits the same findings as ``ctx.pairings``.
+    # emits the same findings as ``ctx.pairings``.
     return SeqcountChecker(ctx.cfg_lookup).check(ctx.check_list), set()
 
 
@@ -333,7 +247,6 @@ register(CheckerSpec(
     inputs=INPUT_CFG,
     run=_run_reread,
     order=10,
-    cfg_shardable=True,
     emits_claims=True,
 ))
 
@@ -345,7 +258,6 @@ register(CheckerSpec(
     run=_run_acquire_release,
     order=20,
     after=("reread",),
-    cfg_shardable=True,
     emits_claims=True,
 ))
 
@@ -376,7 +288,6 @@ register(CheckerSpec(
     inputs=INPUT_CFG,
     run=_run_seqcount,
     order=50,
-    cfg_shardable=True,
 ))
 
 register(CheckerSpec(

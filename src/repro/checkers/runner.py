@@ -36,10 +36,6 @@ class CheckerFailure:
 
     checker: str
     error: str
-    #: Cluster node label the failing shard ran on ("" when local).
-    #: Excluded from :meth:`describe` so run signatures stay mode-
-    #: independent — the label is context, not part of the outcome.
-    node: str = ""
 
     def describe(self) -> str:
         return f"checker {self.checker} failed: {self.error}"
@@ -98,21 +94,13 @@ class CheckerSuite:
     """
 
     def __init__(self, cfg_lookup=None, annotate: bool = True,
-                 checks: set[str] | frozenset[str] | None = None,
-                 shard_runner=None):
+                 checks: set[str] | frozenset[str] | None = None):
         self._cfg_lookup = cfg_lookup
         if checks is None:
             checks = set(registry.all_names())
             if not annotate:
                 checks.discard("annotate")
         self._checks = registry.validate_checks(checks)
-        #: ``shard_runner(check_list, wanted) -> {checker: ("ok",
-        #: findings, claimed) | ("err", message, node)} | None`` — the
-        #: engine's executor hook.  A checker absent from the dict (or a
-        #: ``None`` return) falls back to the inline path below; "err"
-        #: reproduces the serial ``_guarded`` outcome for a checker that
-        #: raised, tagged with the node label the shard ran on.
-        self._shard_runner = shard_runner
 
     def enabled(self, name: str) -> bool:
         return name in self._checks
@@ -130,15 +118,6 @@ class CheckerSuite:
         for pairing in result.pairings:
             check_list.extend(_broadcast_slices(pairing))
 
-        shard: dict = {}
-        if self._shard_runner is not None:
-            wanted = [
-                spec.name for spec in registry.shardable_specs()
-                if self.enabled(spec.name)
-            ]
-            if wanted:
-                shard = self._shard_runner(check_list, tuple(wanted)) or {}
-
         ctx = registry.CheckContext(
             pairings=list(result.pairings),
             check_list=check_list,
@@ -149,22 +128,12 @@ class CheckerSuite:
         for spec in registry.bucket_specs(registry.ORDERING):
             if not self.enabled(spec.name):
                 continue
-            outcome = shard.get(spec.name)
-            if outcome is not None and outcome[0] == "ok":
-                findings, claimed = outcome[1], outcome[2]
-            elif outcome is not None:
-                node = outcome[2] if len(outcome) > 2 else ""
-                report.checker_failures.append(
-                    CheckerFailure(spec.name, outcome[1], node=node)
-                )
+            ran = self._guarded(
+                report, spec.name, lambda spec=spec: spec.run(ctx)
+            )
+            if ran is None:
                 continue
-            else:
-                ran = self._guarded(
-                    report, spec.name, lambda spec=spec: spec.run(ctx)
-                )
-                if ran is None:
-                    continue
-                findings, claimed = ran
+            findings, claimed = ran
             report.ordering_findings.extend(findings)
             ctx.claimed |= claimed
 

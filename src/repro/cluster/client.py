@@ -1,10 +1,10 @@
 """HTTP client for a cluster worker node.
 
-:class:`ShardClient` extends the serve client with the ``/v1/shard/*``
-intra-cluster RPCs (see ``repro.serve.shard`` for the endpoint and
-error contract).  Analysis objects travel packed (base64/zlib/pickle)
-inside the JSON envelopes; the coordinator packs requests and unpacks
-responses with the same helpers the node uses.
+:class:`ShardClient` extends the serve client with the
+``/v1/shard/{ctx,scan}`` intra-cluster RPCs (see ``repro.serve.shard``
+for the endpoint and error contract).  Scan results travel packed
+(base64/zlib/pickle) inside the JSON envelopes; the coordinator unpacks
+them with the same helper the node packs them with.
 """
 
 from __future__ import annotations
@@ -33,32 +33,4 @@ class ShardClient(ServeClient):
         return self._request("POST", "/v1/shard/scan", {
             "epoch": epoch,
             "jobs": [[path, text, key] for path, text, key in jobs],
-        })
-
-    def shard_pairsync(
-        self, epoch: str, ns: str, upserts: str, removes: list[str]
-    ) -> dict[str, Any]:
-        return self._request("POST", "/v1/shard/pairsync", {
-            "epoch": epoch, "ns": ns,
-            "upserts": upserts, "removes": list(removes),
-        })
-
-    def shard_cand(
-        self, epoch: str, ns: str, token: tuple,
-        refs: list[tuple[str, int]],
-    ) -> dict[str, Any]:
-        return self._request("POST", "/v1/shard/cand", {
-            "epoch": epoch, "ns": ns, "token": list(token),
-            "refs": [[path, pos] for path, pos in refs],
-        })
-
-    def shard_check(
-        self, epoch: str, files: dict[str, tuple[str, str]],
-        entries: str, checks: tuple[str, ...],
-    ) -> dict[str, Any]:
-        return self._request("POST", "/v1/shard/check", {
-            "epoch": epoch,
-            "files": {path: [key, text]
-                      for path, (key, text) in files.items()},
-            "entries": entries, "checks": list(checks),
         })

@@ -3,19 +3,18 @@
 :class:`ClusterCoordinator` owns a :class:`~repro.cluster.executor
 .ClusterExecutor` over a fixed node set and analyzes trees by running a
 regular :class:`~repro.core.engine.OFenceEngine` with that executor
-plugged into :class:`~repro.core.engine.AnalysisOptions.executor`
-(``exec_min_batch`` forced to 1 so every stage actually crosses the
-wire).  The engine remains the single source of truth for semantics:
-sharded scan results feed its normal pipeline, the global pairing
-index lives in the coordinator process, and every offload failure
-falls back to the engine's serial path — so the final
+plugged into :class:`~repro.core.engine.AnalysisOptions.executor`.
+The engine remains the single source of truth for semantics: sharded
+scan results feed its normal pipeline, pairing and checking run in the
+coordinator process, and every scan the nodes fail to deliver falls
+back to the engine's serial path — so the final
 :class:`~repro.core.report.CheckReport` is bit-for-bit the single-node
 one by construction.
 
 ``make_server`` wraps the coordinator in a standard
 :class:`~repro.serve.server.AnalysisServer`, which is what
 ``repro cluster serve`` runs: the public daemon API (submit/jobs/
-metrics) in front, shard fan-out behind.
+metrics) in front, scan fan-out behind.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.core.engine import (
 
 
 class ClusterCoordinator:
-    """Analyzes kernel trees by fanning stage work out to nodes."""
+    """Analyzes kernel trees by fanning scan work out to nodes."""
 
     def __init__(
         self,
@@ -46,8 +45,7 @@ class ClusterCoordinator:
         #: Engine options for every coordinated run: the cluster is the
         #: execution vehicle, single-threaded coordinator drives it.
         self.options = dataclasses.replace(
-            base, executor=self.executor, exec_min_batch=1,
-            workers=None,
+            base, executor=self.executor, workers=None,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -72,8 +70,7 @@ class ClusterCoordinator:
         opts = self.options
         if options is not None:
             opts = dataclasses.replace(
-                options, executor=self.executor, exec_min_batch=1,
-                workers=None,
+                options, executor=self.executor, workers=None,
             )
         result = OFenceEngine(source, opts).analyze()
         self.executor.record_result(result)
@@ -96,7 +93,7 @@ class ClusterCoordinator:
     ):
         """A standard analysis daemon whose engines coordinate this
         cluster: submissions arrive over the normal serve API and the
-        stage work fans out to the nodes."""
+        scan work fans out to the nodes."""
         from repro.serve.server import AnalysisServer, AnalysisService
 
         def absorb(job) -> None:

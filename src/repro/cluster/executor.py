@@ -1,29 +1,23 @@
-"""The cluster executor: engine stage offloads over N serve daemons.
+"""The cluster executor: the engine's scan offload over N serve daemons.
 
-:class:`ClusterExecutor` implements the same three-stage offload
-interface as :class:`repro.exec.AnalysisExecutor` — ``scan`` /
-``pair_candidates`` / ``check_shards`` — but dispatches each shard over
-HTTP to a pool of worker nodes (serve daemons exposing the
-``/v1/shard/*`` endpoints) instead of local processes.  Plugging it
-into :class:`~repro.core.engine.AnalysisOptions.executor` turns any
-engine into a cluster coordinator, inheriting all of the engine's
-parity machinery for free:
+:class:`ClusterExecutor` implements the same stage-offload interface as
+:class:`repro.exec.AnalysisExecutor` — ``scan`` — but dispatches each
+shard over HTTP to a pool of worker nodes (serve daemons exposing the
+``/v1/shard/{ctx,scan}`` endpoints) instead of local processes.
+Plugging it into :class:`~repro.core.engine.AnalysisOptions.executor`
+turns any engine into a cluster coordinator, inheriting all of the
+engine's parity machinery for free:
 
 * files are sharded by consistent hash (:class:`~repro.cluster.ring
   .HashRing`), so assignment is deterministic and node-local scan
   caches stay warm across runs;
-* pairing is **not** approximated: the coordinator keeps the global
-  pairing index the engine built and replicates it to every node by
-  exact file-level delta (the PR-5 namespace-mirror scheme lifted over
-  HTTP), then shards only the candidate *search*; results align with
-  the engine's reference list so the merged candidates are bit-for-bit
-  the serial ones;
-* checker shards are contiguous chunks merged in chunk order — the
-  same merge the local executor performs;
+* pairing and checking are **not** distributed: the coordinator's
+  engine runs them in-process over the global site set, exactly as a
+  serial run does;
 * every failure mode (node down, RPC timeout, misaligned reply)
-  degrades to ``None``/incomplete returns, which the engine answers
-  with its serial fallback — never a wrong result.  The one exception
-  is a coordinator shutting down: a ``close()`` racing an in-flight op
+  degrades to an incomplete scan, whose missing files the engine
+  re-scans serially — never a wrong result.  The one exception is a
+  coordinator shutting down: a ``close()`` racing an in-flight scan
   raises :class:`~repro.exec.executor.ExecutorClosed` instead of
   letting the drain degrade into a serial re-run.
 
@@ -39,8 +33,8 @@ Failure handling: nodes answering 503 are backed off per
 ``Retry-After``; connection-level failures retry with exponential
 backoff and then mark the node down, its shard re-dispatched to the
 next live node on the ring (``redispatches`` counter).  ``probe()``
-re-admits recovered nodes with their warm state assumed gone (428/409
-resync handles the rest).
+re-admits recovered nodes with their warm state assumed gone (the 428
+context resync handles the rest).
 """
 
 from __future__ import annotations
@@ -49,17 +43,16 @@ import contextvars
 import http.client
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.client import ShardClient
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
 from repro.exec.executor import ExecutorClosed
-from repro.exec.protocol import PAIR_NS_CAP, ExecContext
+from repro.exec.protocol import ExecContext
 from repro.serve.client import ClientError
 from repro.serve.metrics import LatencyWindow
-from repro.serve.shard import pack, unpack
+from repro.serve.shard import unpack
 from repro.trace.context import absorb_remote, span
 
 #: Connection-level failures: what a dead/dying node looks like.  Note
@@ -81,12 +74,6 @@ class _Node:
         self.up = True
         #: Context epoch last installed on this node (this incarnation).
         self.epoch_sent: str | None = None
-        #: Serializes pairsync+mirror updates for this node.  Re-entrant:
-        #: a failing sync RPC marks the node down (clearing the mirror)
-        #: while the sync still holds the lock.
-        self.lock = threading.RLock()
-        #: Mirror of the node's pairing-namespace LRU: ns -> {path: key}.
-        self.pair_ns: "OrderedDict[str, dict[str, str]]" = OrderedDict()
         self.latency = LatencyWindow()
         self.rpcs = 0
         self.errors = 0
@@ -94,8 +81,6 @@ class _Node:
     def forget_warm_state(self) -> None:
         """The node restarted (or may have): assume its caches are gone."""
         self.epoch_sent = None
-        with self.lock:
-            self.pair_ns.clear()
 
 
 @dataclass
@@ -117,7 +102,7 @@ class ClusterStats:
 
 
 class ClusterExecutor:
-    """Stage offloads over HTTP worker nodes; engine-executor shaped."""
+    """Scan offload over HTTP worker nodes; engine-executor shaped."""
 
     def __init__(
         self,
@@ -145,9 +130,10 @@ class ClusterExecutor:
         self._closed = False
         self._stats_lock = threading.Lock()
         self.stats = ClusterStats()
-        #: Test hook: called with the source node's url after each scan
-        #: batch is absorbed (outside locks) — crash-injection point.
-        self.on_scan_payload: Callable[[str], None] | None = None
+        #: Test hook: called with a node's url just before its scan
+        #: group is dispatched (outside locks) — crash-injection point: a
+        #: node killed here fails that RPC and its group fails over.
+        self.on_scan_dispatch: Callable[[str], None] | None = None
 
     # -- executor interface surface ----------------------------------------
 
@@ -180,7 +166,7 @@ class ClusterExecutor:
 
     def probe(self) -> dict[str, bool]:
         """Health-check every node; revive recovered ones (warm state
-        presumed lost — the 428/409 resync protocol rebuilds it)."""
+        presumed lost — the 428 context resync rebuilds it)."""
         status: dict[str, bool] = {}
         for node in self._nodes:
             try:
@@ -320,18 +306,21 @@ class ClusterExecutor:
         keys = {path: key for path, _text, key in jobs}
         delivered: set[str] = set()
         absorb_lock = threading.Lock()
-        results: list[tuple[str, dict | None]] = []
+        results: list[dict | None] = []
 
         def run_group(url: str, paths: list[str]) -> None:
             node = self._node_by_url(url)
             group_jobs = [by_path[p] for p in paths]
+            hook = self.on_scan_dispatch
+            if hook is not None:
+                hook(url)
             out = self._with_failover(
                 node, "scan",
                 lambda n: n.client.shard_scan(ctx.epoch, group_jobs),
                 ctx,
             )
             with absorb_lock:
-                results.append((url, out))
+                results.append(out)
 
         threads = [
             threading.Thread(target=contextvars.copy_context().run,
@@ -344,7 +333,7 @@ class ClusterExecutor:
         for t in threads:
             t.join()
 
-        for url, out in results:
+        for out in results:
             if out is None:
                 continue
             base["batches"] += 1
@@ -358,9 +347,6 @@ class ClusterExecutor:
                 delivered.add(path)
                 on_result(cached, keys[path])
                 base["completed"] += 1
-            hook = self.on_scan_payload
-            if hook is not None:
-                hook(url)
 
         lost = len(jobs) - base["completed"]
         if lost and self._closed:
@@ -375,231 +361,12 @@ class ClusterExecutor:
         base["workers_used"] = len(groups)
         return base
 
-    def pair_candidates(self, ns: str, state, refs, token,
-                        ctx: ExecContext):
-        """Best candidates for ``refs``, sharded over live nodes.
-
-        Every participating node first receives the exact delta between
-        its replica of pairing namespace ``ns`` and ``state`` (the
-        coordinator's full index content), then searches its contiguous
-        slice of ``refs``.  Any unrecoverable shard → ``(None, info)``
-        and the engine computes serially.
-        """
-        info = {"shards": 0, "reused": 0, "computed": 0}
-        if not refs:
-            return [], info
-        if self._closed:
-            return None, info
-        live = self._live()
-        if not live:
-            return None, info
-        nshards = max(1, min(len(live), len(refs)))
-        size = -(-len(refs) // nshards)
-        chunks = [refs[i:i + size] for i in range(0, len(refs), size)]
-        info["shards"] = len(chunks)
-        out_chunks: list[list | None] = [None] * len(chunks)
-        lock = threading.Lock()
-
-        def run_chunk(index: int, chunk) -> None:
-            result = self._cand_with_failover(
-                live[index % len(live)], ns, state, token, chunk, ctx
-            )
-            if result is not None:
-                cands, stats = result
-                with lock:
-                    out_chunks[index] = cands
-                    info["reused"] += stats.get("candidates_reused", 0)
-                    info["computed"] += stats.get("candidates_computed", 0)
-
-        threads = [
-            threading.Thread(target=contextvars.copy_context().run,
-                             args=(run_chunk, i, chunk),
-                             name=f"cluster-cand-{i}", daemon=True)
-            for i, chunk in enumerate(chunks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        out: list = []
-        for chunk, cands in zip(chunks, out_chunks):
-            if cands is None or len(cands) != len(chunk):
-                if self._closed:
-                    raise ExecutorClosed(
-                        "cluster executor closed mid-pairing"
-                    )
-                return None, info
-            out.extend(cands)
-        return out, info
-
-    def _cand_with_failover(self, first: _Node, ns: str, state, token,
-                            chunk, ctx: ExecContext):
-        """sync-then-cand against ``first``, failing over like
-        :meth:`_with_failover` but re-syncing on each new node."""
-        tried: set[str] = set()
-        node: _Node | None = first
-        while node is not None:
-            tried.add(node.url)
-            try:
-                return self._cand_on_node(node, ns, state, token, chunk,
-                                          ctx)
-            except NodeDown:
-                with self._stats_lock:
-                    self.stats.redispatches += 1
-            except ClientError:
-                return None
-            node = next(
-                (n for n in self._live() if n.url not in tried), None
-            )
-        return None
-
-    def _cand_on_node(self, node: _Node, ns: str, state, token, chunk,
-                      ctx: ExecContext):
-        """One node's shard: sync the namespace replica, then search.
-
-        A 409 (namespace evicted node-side, or the node restarted
-        between sync and search) drops the mirror and retries once with
-        a full resync.
-        """
-        for attempt in (0, 1):
-            self._sync_pair_ns(node, ns, state, ctx)
-            try:
-                out = self._rpc(
-                    node, "cand",
-                    lambda: node.client.shard_cand(
-                        ctx.epoch, ns, token,
-                        [(p, i) for p, i in chunk],
-                    ),
-                    ctx,
-                )
-            except ClientError as exc:
-                if exc.status == 409 and attempt == 0:
-                    with node.lock:
-                        node.pair_ns.pop(ns, None)
-                    continue
-                raise
-            cands = unpack(out["candidates"])
-            return cands, out.get("stats") or {}
-        return None
-
-    def _sync_pair_ns(self, node: _Node, ns: str, state,
-                      ctx: ExecContext) -> None:
-        """Ship the exact file-level delta for namespace ``ns``.
-
-        The mirror is only advanced after the RPC succeeds, so a lost
-        response at worst re-sends an upsert — and node-side
-        ``add_sites`` replaces, so resync is idempotent.
-        """
-        with node.lock:
-            known = node.pair_ns.get(ns, {})
-            upserts = [
-                (path, sites) for path, (key, sites) in state.items()
-                if known.get(path) != key
-            ]
-            removes = [path for path in known if path not in state]
-            if upserts or removes:
-                self._rpc(
-                    node, "pairsync",
-                    lambda: node.client.shard_pairsync(
-                        ctx.epoch, ns, pack(upserts), removes
-                    ),
-                    ctx,
-                )
-            node.pair_ns[ns] = {
-                path: key for path, (key, _sites) in state.items()
-            }
-            node.pair_ns.move_to_end(ns)
-            while len(node.pair_ns) > PAIR_NS_CAP:
-                node.pair_ns.popitem(last=False)
-
-    def check_shards(self, files, entries, checks, ctx: ExecContext):
-        """Checker fan-out: contiguous chunks of ``entries`` over live
-        nodes, merged in chunk order (= serial iteration order)."""
-        info = {"shards": 0}
-        if not entries:
-            return {}, info
-        if self._closed:
-            return None, info
-        live = self._live()
-        if not live:
-            return None, info
-        nshards = max(1, min(len(live), len(entries)))
-        size = -(-len(entries) // nshards)
-        chunks = [
-            entries[i:i + size] for i in range(0, len(entries), size)
-        ]
-        info["shards"] = len(chunks)
-        shard_results: list[dict | None] = [None] * len(chunks)
-        shard_nodes: list[str] = [""] * len(chunks)
-
-        def run_chunk(index: int, chunk) -> None:
-            paths = {
-                path for spec in chunk for path, _pos in spec.barrier_refs
-            }
-            sub = {path: files[path] for path in sorted(paths)}
-            answered = [""]
-
-            def call(n: _Node):
-                # Failover walks nodes; the last one invoked before a
-                # non-None return is the node that answered this shard.
-                answered[0] = n.url
-                return n.client.shard_check(
-                    ctx.epoch, sub, pack(chunk), tuple(checks)
-                )
-
-            out = self._with_failover(
-                live[index % len(live)], "check", call, ctx
-            )
-            if out is not None:
-                shard_results[index] = unpack(out["results"])
-                shard_nodes[index] = answered[0]
-
-        threads = [
-            threading.Thread(target=contextvars.copy_context().run,
-                             args=(run_chunk, i, chunk),
-                             name=f"cluster-check-{i}", daemon=True)
-            for i, chunk in enumerate(chunks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        merged: dict = {}
-        for name in checks:
-            findings: list = []
-            claimed: list = []
-            fail: str | None = None
-            fail_node = ""
-            for index, res in enumerate(shard_results):
-                if res is None:
-                    if self._closed:
-                        raise ExecutorClosed(
-                            "cluster executor closed mid-check"
-                        )
-                    return None, info
-                shard = res.get(name)
-                if shard is None:
-                    return None, info
-                if shard[0] == "checkerfail":
-                    fail = shard[1]
-                    fail_node = shard_nodes[index]
-                    break
-                findings.extend(shard[1])
-                claimed.extend(shard[2])
-            if fail is not None:
-                merged[name] = ("checkerfail", fail, fail_node)
-            else:
-                merged[name] = ("ok", findings, claimed)
-        return merged, info
-
     # -- observability -----------------------------------------------------
 
     def record_result(self, result) -> None:
-        """Fold one analysis result's merge-side stage timings into the
-        cluster stats (pairing merge + checker patch time is the
-        coordinator's own work)."""
+        """Fold one analysis result's coordinator-side stage timings
+        into the cluster stats (pair, check and patch run on the
+        coordinator)."""
         profile = getattr(result, "profile", None)
         if profile is None:
             return

@@ -5,8 +5,9 @@ layer's :data:`~repro.fuzz.differential.DEFAULT_MODES`, so the
 differential oracle continuously proves the cluster tier bit-for-bit
 against serial mode — including under failure: every run analyzes the
 tree twice, once on a healthy cluster and once with a node crashed
-mid-analysis (between scan batches), and requires both results to
-match before handing either to the oracle.
+mid-analysis (as its scan group is dispatched, so that group fails
+over), and requires both results to match before handing either to
+the oracle.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ def run_via_cluster(
 ) -> AnalysisResult:
     """Analyze ``source`` on an in-process ``nodes``-node cluster.
 
-    Two coordinated runs: clean, then with node 0 killed after it
-    serves its first scan batch (when the tree is too small to shard a
-    scan, the kill never fires and the second run is simply a warm
-    rerun — still a parity check).  Returns the crash-run result, which
+    Two coordinated runs: clean, then with node 0 killed as its scan
+    group is dispatched (when the tree is too small to send node 0 any
+    files, the kill never fires and the second run is simply a rerun —
+    still a parity check).  Returns the crash-run result, which
     the caller diffs against other modes.
     """
     servers = [AnalysisServer() for _ in range(nodes)]
@@ -46,9 +47,9 @@ def run_via_cluster(
                     killed.set()
                     servers[0].stop()
 
-            coord.executor.on_scan_payload = kill_first_node
+            coord.executor.on_scan_dispatch = kill_first_node
             crashed = coord.analyze(source, options)
-            coord.executor.on_scan_payload = None
+            coord.executor.on_scan_dispatch = None
 
             if run_signature(clean) != run_signature(crashed):
                 raise RuntimeError(

@@ -5,9 +5,10 @@
 1. select the files that contain barrier primitives and are enabled by
    the kernel config (§6.1);
 2. preprocess + parse each file, build CFGs, extract accesses, and scan
-   for barrier sites — optionally in parallel across worker processes;
-3. pair barriers globally (Algorithm 1);
-4. run the §5 checkers and generate patches.
+   for barrier sites — optionally in parallel across worker processes
+   or cluster nodes (§6.1: only per-file analysis is spread out);
+3. pair barriers globally (Algorithm 1), in-process;
+4. run the §5 checkers and generate patches, in-process.
 
 The pipeline is incremental end to end:
 
@@ -28,7 +29,6 @@ The pipeline is incremental end to end:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import re
 import tempfile
 import threading
@@ -190,15 +190,12 @@ class AnalysisOptions:
     #: are evicted past it (None = unbounded).  Long-running daemons set
     #: this so ``--cache-dir`` does not grow without bound.
     cache_max_bytes: int | None = None
-    #: A shared :class:`repro.exec.AnalysisExecutor` to dispatch the
-    #: scan/pair/check stages to.  None + ``workers > 1`` falls back to
-    #: the process-wide default pool.  Excluded from comparison/repr:
-    #: the executor is an execution vehicle, not a semantic knob.
+    #: A shared :class:`repro.exec.AnalysisExecutor` (or cluster
+    #: executor) to dispatch the per-file scan to.  None + ``workers >
+    #: 1`` falls back to the process-wide default pool.  Excluded from
+    #: comparison/repr: the executor is an execution vehicle, not a
+    #: semantic knob.
     executor: object | None = field(default=None, repr=False, compare=False)
-    #: Minimum work items (pending scans, unmemoized write barriers,
-    #: check entries) before a stage is sharded across the executor;
-    #: below it the IPC overhead beats the parallel win.
-    exec_min_batch: int = 8
 
 
 @dataclass
@@ -245,12 +242,6 @@ class AnalysisResult:
         return self.pairing.coverage(self.total_barriers)
 
 
-#: Unique pairing-index namespace per engine instance; worker processes
-#: keep one warm :class:`PairingIndex` per namespace, so two engines
-#: sharing an executor never cross-contaminate each other's indexes.
-_EXEC_NS_IDS = itertools.count(1)
-
-
 class OFenceEngine:
     """Drives the OFence pipeline over a :class:`KernelSource`."""
 
@@ -279,8 +270,6 @@ class OFenceEngine:
         #: incremental re-analyses only rebuild diffs the edit changed.
         self._patch_memo: dict[str, tuple] = {}
         self._profile: StageProfile | None = None
-        #: Worker-side pairing-index namespace (see ``_EXEC_NS_IDS``).
-        self._exec_ns = f"eng{next(_EXEC_NS_IDS)}"
         #: (token, ExecContext) memo so warm re-runs skip re-hashing the
         #: header table.
         self._ctx_memo: tuple | None = None
@@ -404,9 +393,7 @@ class OFenceEngine:
                 updated = self._sync_pairing_index(selected)
             profile.count("pair.files_updated", updated)
             pairer = PairingEngine(index=self._pairing_index)
-            pairing = pairer.pair(
-                candidate_provider=self._candidate_provider(pairer, profile)
-            )
+            pairing = pairer.pair()
             for name, value in pairer.stats.items():
                 profile.count(f"pair.{name}", value)
 
@@ -415,7 +402,6 @@ class OFenceEngine:
                 self._cfg_lookup,
                 annotate=self.options.annotate,
                 checks=self.options.checks,
-                shard_runner=self._check_shard_runner(profile),
             )
             report = suite.run(pairing)
 
@@ -610,161 +596,6 @@ class OFenceEngine:
             profile.count("exec.respawns", stats["respawns"])
         profile.count("exec.workers_used", stats["workers_used"])
         return [(path, key) for path, key in pending if path not in done]
-
-    def _candidate_provider(self, pairer, profile: StageProfile):
-        """Pairing-offload hook for ``PairingEngine.pair`` (or None)."""
-        executor = self._active_executor()
-        if executor is None:
-            return None
-
-        def provide(missing):
-            if len(missing) < max(1, self.options.exec_min_batch):
-                return None
-            index = self._pairing_index
-            refs: list[tuple[str, int]] = []
-            for site in missing:
-                path, pos = index.order_key(site)
-                file_sites = index.file_sites(path)
-                if pos >= len(file_sites) or file_sites[pos] is not site:
-                    return None  # site outside the index: pair serially
-                refs.append((path, pos))
-            state: dict[str, tuple] = {}
-            for path in index.files():
-                cached = self._file_cache.get(path)
-                if cached is None or cached.key is None:
-                    return None
-                state[path] = (cached.key, index.file_sites(path))
-            with profile.stage("pair.exec"):
-                raw, info = executor.pair_candidates(
-                    self._exec_ns, state, refs,
-                    pairer._config_token(), self._exec_context(),
-                )
-            if info["shards"]:
-                profile.count("pair.shards", info["shards"])
-            if raw is None:
-                return None
-            from repro.pairing.algorithm import _Candidate
-
-            out: dict = {}
-            for site, (_ref, cand) in zip(missing, zip(refs, raw)):
-                if cand is None:
-                    out[site.barrier_id] = None
-                    continue
-                mpath, mpos, o1, o2, weight = cand
-                match_sites = index.file_sites(mpath)
-                if mpos >= len(match_sites):
-                    return None
-                out[site.barrier_id] = _Candidate(
-                    site, match_sites[mpos], o1, o2, weight
-                )
-            profile.count("exec.dispatched", len(refs))
-            profile.count("pair.candidates_remote", info["computed"])
-            return out
-
-        return provide
-
-    def _check_shard_runner(self, profile: StageProfile):
-        """Checker-offload hook for :class:`CheckerSuite` (or None)."""
-        executor = self._active_executor()
-        if executor is None:
-            return None
-
-        def run_shards(check_list, wanted):
-            if len(check_list) < max(1, self.options.exec_min_batch):
-                return None
-            from repro.exec.protocol import CheckEntry
-
-            index = self._pairing_index
-            entries: list[CheckEntry] = []
-            paths: set[str] = set()
-            for entry_idx, pairing in enumerate(check_list):
-                refs: list[tuple[str, int]] = []
-                for barrier in pairing.barriers:
-                    path, pos = index.order_key(barrier)
-                    file_sites = index.file_sites(path)
-                    if (
-                        pos >= len(file_sites)
-                        or file_sites[pos] is not barrier
-                    ):
-                        return None
-                    refs.append((path, pos))
-                    paths.add(path)
-                entries.append(CheckEntry(
-                    entry=entry_idx, barrier_refs=refs,
-                    common_objects=list(pairing.common_objects),
-                    weight=pairing.weight,
-                ))
-            files: dict[str, tuple[str, str]] = {}
-            for path in sorted(paths):
-                cached = self._file_cache.get(path)
-                text = self.source.files.get(path)
-                if cached is None or cached.key is None or text is None:
-                    return None
-                files[path] = (cached.key, text)
-            with profile.stage("check.exec"):
-                raw, info = executor.check_shards(
-                    files, entries, tuple(wanted), self._exec_context()
-                )
-            if info["shards"]:
-                profile.count("check.shards", info["shards"])
-            if raw is None:
-                return None
-            from repro.checkers import registry
-
-            out: dict = {}
-            for name in wanted:
-                shard = raw.get(name)
-                if shard is None:
-                    continue  # that checker falls back to inline
-                if shard[0] == "checkerfail":
-                    # Cluster shards carry the node label the failing
-                    # shard ran on; local shards do not.
-                    node = shard[2] if len(shard) > 2 else ""
-                    out[name] = ("err", shard[1], node)
-                    continue
-                spec = registry.get(name)
-                findings = []
-                for wire in shard[1]:
-                    finding = self._decode_finding(spec, wire, check_list)
-                    if finding is None:
-                        return None  # ref mismatch: run inline instead
-                    findings.append(finding)
-                claimed = spec.codec.decode_claims(shard[2], check_list)
-                out[name] = ("ok", findings, claimed)
-            profile.count("exec.dispatched", len(entries))
-            return out
-
-        return run_shards
-
-    def _decode_finding(self, spec, wire, check_list):
-        """Re-bind one wire finding through its checker's codec.
-
-        Identity matters downstream (the annotate checker keys buggy
-        pairings by ``id``, the patch generator walks ``use.access``),
-        so every ref must resolve against this engine's cached sites;
-        any miss aborts the whole shard decode and the checker re-runs
-        inline.
-        """
-
-        def site_at(ref):
-            if ref is None:
-                return None
-            path, idx = ref
-            cached = self._file_cache.get(path)
-            if cached is None or idx >= len(cached.sites):
-                return None
-            return cached.sites[idx]
-
-        def use_at(ref):
-            if ref is None:
-                return None
-            path, sidx, uidx = ref
-            site = site_at((path, sidx))
-            if site is None or uidx >= len(site.uses):
-                return None
-            return site.uses[uidx]
-
-        return spec.codec.decode_finding(wire, check_list, site_at, use_at)
 
     def _scan_single(self, path: str, key: str | None = None) -> str | None:
         if key is None:
@@ -963,18 +794,18 @@ def _run_executor(
 ) -> AnalysisResult:
     """Analysis through the shared persistent pool, warm-pool pass last.
 
-    Two full runs against the process-wide default executor with the
-    shard threshold forced to 1, so every stage (scan, pairing
-    candidates, CFG checkers) actually crosses the worker boundary even
-    on tiny fuzz inputs.  The second run exercises the warm path — the
-    workers' scan caches and pairing-index namespaces are already
-    populated — and its result is the one diffed against serial mode.
+    Two full runs against the process-wide default executor, so the
+    scan of every multi-file tree crosses the worker boundary and
+    pairing and checking run in-process over the workers' sites.  The
+    second run exercises the warm path — the workers' scan caches are
+    already populated — and its result is the one diffed against serial
+    mode.
     """
     from repro.exec.executor import get_default_executor
 
     ex = get_default_executor(2)
     opts = _mode_options(
-        options, workers=2, cache_dir=None, executor=ex, exec_min_batch=1
+        options, workers=2, cache_dir=None, executor=ex
     )
     OFenceEngine(source, opts).analyze()
     return OFenceEngine(source, opts).analyze()
@@ -1018,9 +849,9 @@ def _run_cluster(
     Spins up two worker daemons and a coordinator, runs the tree once
     on the healthy cluster and once with a node killed mid-analysis,
     checks the two results agree, and returns the crash-run result —
-    so the differential oracle holds the sharded scan, replicated
-    pairing search, checker fan-out, *and* the failover path to the
-    serial reference.
+    so the differential oracle holds the sharded scan, the
+    coordinator's in-process pairing and checking over node-scanned
+    sites, *and* the failover path to the serial reference.
     """
     opts = _mode_options(
         options, workers=None, cache_dir=None, executor=None

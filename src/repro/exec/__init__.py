@@ -1,9 +1,9 @@
 """``repro.exec`` — the persistent, process-based analysis executor.
 
 A warm worker pool shared by the CLI, the engine, and the serve daemon:
-scan, pairing-candidate search, and the CFG-bound checkers dispatch to
-long-lived worker processes that keep parsed state hot across
-``analyze()`` calls.  See :class:`AnalysisExecutor`.
+per-file parse+scan dispatches to long-lived worker processes that keep
+scan results hot across ``analyze()`` calls, while pairing and checking
+stay a serial global pass in the engine.  See :class:`AnalysisExecutor`.
 """
 
 from repro.exec.executor import (
@@ -13,15 +13,13 @@ from repro.exec.executor import (
     close_default_executor,
     get_default_executor,
 )
-from repro.exec.protocol import CheckEntry, ExecContext, FindingWire
+from repro.exec.protocol import ExecContext
 
 __all__ = [
     "AnalysisExecutor",
-    "CheckEntry",
     "ExecContext",
     "ExecStats",
     "ExecutorClosed",
-    "FindingWire",
     "close_default_executor",
     "get_default_executor",
 ]

@@ -1,17 +1,11 @@
 """The persistent analysis executor: a warm, crash-tolerant process pool.
 
 ``AnalysisExecutor`` owns long-lived worker processes (see
-``repro.exec.worker``) and exposes the three CPU-bound stage offloads the
-engine uses:
-
-* :meth:`scan` — batched parse+scan with results streamed back as each
-  batch finishes;
-* :meth:`pair_candidates` — best-candidate search for write barriers,
-  sharded over worker-side warm pairing indexes that the parent syncs by
-  file-level delta;
-* :meth:`check_shards` — every checker whose registry spec declares it
-  CFG-shardable, over contiguous shards of the check list, merged back
-  in shard order so the result is bit-for-bit the serial one.
+``repro.exec.worker``) and exposes the one stage offload the engine
+uses: :meth:`scan`, batched parse+scan with results streamed back as
+each batch finishes.  Per-file analysis is the part of a run that
+parallelizes; pairing and checking are a cheap global pass the engine
+runs in-process once the sites exist.
 
 Design points:
 
@@ -24,8 +18,7 @@ Design points:
   quiet period and the next call re-spawns it.
 * **Crash recovery.**  A worker dying mid-batch is detected in the
   collect loop; the worker is respawned (fresh queue, fresh state) and
-  its lost batches are re-dispatched.  Warm state is rebuilt on demand
-  — the parent's per-worker pairing-namespace mirror is reset with it.
+  its lost batches are re-dispatched.  Warm state is rebuilt on demand.
 * **Never-raise toward the engine** — with one deliberate exception.
   Infrastructure failures (worker crashes, op timeouts, start errors)
   surface as ``None``/incomplete returns and the engine falls back to
@@ -36,8 +29,7 @@ Design points:
 
 One executor instance may be shared by many engines and threads (the
 serve daemon does exactly that); a single re-entrant lock serializes
-ops, so per-worker context epochs and pairing-namespace mirrors stay
-coherent.
+ops, so per-worker context epochs stay coherent.
 """
 
 from __future__ import annotations
@@ -49,10 +41,9 @@ import os
 import queue as queue_mod
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.exec.protocol import PAIR_NS_CAP, ExecContext  # noqa: F401
+from repro.exec.protocol import ExecContext
 from repro.trace.context import absorb_remote
 from repro.trace.context import ship as ship_trace
 
@@ -119,10 +110,6 @@ class _Worker:
         self.sent_epoch: str | None = None
         self.inflight = 0
         self.tasks_done = 0
-        #: Mirror of the worker's pairing-namespace LRU: ns -> {path:
-        #: scan key}.  Kept in lockstep with the messages actually sent,
-        #: so sync deltas are exact and evictions match the worker's.
-        self.pair_ns: "OrderedDict[str, dict[str, str]]" = OrderedDict()
 
 
 class AnalysisExecutor:
@@ -294,15 +281,12 @@ class AnalysisExecutor:
 
     # -- dispatch core -----------------------------------------------------
 
-    def _run_tasks(self, ctx: ExecContext, tasks, prelude=None,
-                   on_payload=None):
+    def _run_tasks(self, ctx: ExecContext, tasks, on_payload=None):
         """Dispatch ``tasks`` (= ``(kind, args)`` tuples) and collect.
 
         Returns a list aligned with ``tasks`` of ``("ok", payload)`` /
         ``("error", message)`` / ``None`` (lost to an op timeout), or
         ``None`` outright when the executor is closed or cannot start.
-        ``prelude(worker)`` runs once per worker per op before its first
-        task (and again for respawned workers) — the pairing sync hook.
         ``on_payload(index, payload)`` streams successes as they land.
 
         Raises :class:`ExecutorClosed` when the pool is closed at entry
@@ -320,7 +304,6 @@ class AnalysisExecutor:
             results: list = [None] * len(tasks)
             pending: dict[int, int] = {}
             assigned: dict[int, _Worker] = {}
-            prepped: set[int] = set()
 
             def send(i: int) -> None:
                 worker = min(
@@ -332,9 +315,6 @@ class AnalysisExecutor:
                         (ctx.write_window, ctx.read_window),
                     ))
                     worker.sent_epoch = ctx.epoch
-                if prelude is not None and worker.wid not in prepped:
-                    prelude(worker)
-                    prepped.add(worker.wid)
                 kind, args = tasks[i]
                 bid = next(self._batch_ids)
                 pending[bid] = i
@@ -436,115 +416,6 @@ class AnalysisExecutor:
         base["respawns"] = self.stats.respawns - respawns_before
         base["workers_used"] = min(self._size, len(chunks))
         return base
-
-    def pair_candidates(self, ns: str, state, refs, token,
-                        ctx: ExecContext):
-        """Best candidates for write-barrier ``refs``, sharded.
-
-        ``state`` is the desired worker-side index content: ``{path:
-        (scan key, sites)}``.  Each participating worker receives only
-        the delta against what it already holds (the parent mirrors the
-        worker's namespace LRU, so the delta is exact).  Returns
-        ``(aligned candidates, info)`` — each candidate a ``(match
-        path, match position, o1, o2, weight)`` tuple or ``None`` — or
-        ``(None, info)`` when the offload failed and the caller should
-        compute serially.
-        """
-        info = {"shards": 0, "reused": 0, "computed": 0}
-        if not refs:
-            return [], info
-        nshards = max(1, min(self._size, len(refs)))
-        size = -(-len(refs) // nshards)
-        chunks = [refs[i:i + size] for i in range(0, len(refs), size)]
-        info["shards"] = len(chunks)
-
-        def prelude(worker: _Worker) -> None:
-            known = worker.pair_ns.get(ns)
-            if known is None:
-                known = {}
-                worker.pair_ns[ns] = known
-                while len(worker.pair_ns) > PAIR_NS_CAP:
-                    worker.pair_ns.popitem(last=False)
-            upserts = [
-                (path, sites) for path, (key, sites) in state.items()
-                if known.get(path) != key
-            ]
-            removes = [path for path in known if path not in state]
-            if upserts or removes:
-                worker.task_q.put(("pairsync", ns, upserts, removes))
-            worker.pair_ns[ns] = {
-                path: key for path, (key, _sites) in state.items()
-            }
-            worker.pair_ns.move_to_end(ns)
-
-        tasks = [("cand", (ns, token, chunk)) for chunk in chunks]
-        results = self._run_tasks(ctx, tasks, prelude=prelude)
-        if results is None:
-            return None, info
-        out: list = []
-        for res in results:
-            if res is None or res[0] != "ok":
-                return None, info
-            cands, stats = res[1]
-            out.extend(cands)
-            info["reused"] += stats.get("candidates_reused", 0)
-            info["computed"] += stats.get("candidates_computed", 0)
-        if len(out) != len(refs):
-            return None, info
-        return out, info
-
-    def check_shards(self, files, entries, checks, ctx: ExecContext):
-        """The CFG-bound checkers over contiguous shards of ``entries``.
-
-        ``files`` is ``{path: (scan key, text)}`` covering every barrier
-        ref; each shard ships only the slice of it that its entries
-        touch.  Returns ``({checker: ("ok", wire findings, wire claimed)
-        | ("checkerfail", message)}, info)`` with shard results merged
-        in shard order — identical to serial iteration order — or
-        ``(None, info)`` when the offload failed.
-        """
-        info = {"shards": 0}
-        if not entries:
-            return {}, info
-        nshards = max(1, min(self._size, len(entries)))
-        size = -(-len(entries) // nshards)
-        chunks = [
-            entries[i:i + size] for i in range(0, len(entries), size)
-        ]
-        info["shards"] = len(chunks)
-        tasks = []
-        for chunk in chunks:
-            paths = {
-                path for spec in chunk for path, _pos in spec.barrier_refs
-            }
-            sub = {path: files[path] for path in sorted(paths)}
-            tasks.append(("check", (sub, chunk, checks)))
-        results = self._run_tasks(ctx, tasks)
-        if results is None:
-            return None, info
-        merged: dict = {}
-        for name in checks:
-            findings: list = []
-            claimed: list = []
-            fail: str | None = None
-            for res in results:
-                if res is None or res[0] != "ok":
-                    return None, info
-                shard = res[1].get(name)
-                if shard is None:
-                    return None, info
-                if shard[0] == "checkerfail":
-                    # Earliest failing shard holds the globally earliest
-                    # raising entry — the message serial mode would give.
-                    fail = shard[1]
-                    break
-                findings.extend(shard[1])
-                claimed.extend(shard[2])
-            if fail is not None:
-                merged[name] = ("checkerfail", fail)
-            else:
-                merged[name] = ("ok", findings, claimed)
-        return merged, info
 
 
 # ---------------------------------------------------------------------------

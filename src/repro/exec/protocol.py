@@ -1,19 +1,10 @@
 """Wire types shared by the executor parent and its worker processes.
 
-Everything crossing the process boundary is either plain data or one of
-the dataclasses below.  Analysis objects never travel by identity:
-
-* a barrier site is referenced as ``(path, index)`` into that file's
-  canonical site list (scan order — deterministic, so parent and worker
-  indices always agree);
-* an object use is ``(path, site_index, use_index)`` into the owning
-  site's ``uses`` list;
-* a pairing is referenced by its position in the parent's check list
-  (``entry``), and rebuilt worker-side from site refs + common objects;
-* a finding comes back as a :class:`FindingWire` holding refs, and the
-  parent re-binds it to its own site/use/pairing objects — required
-  because downstream consumers (the patch generator, the
-  annotation-bucket checkers) rely on object identity.
+Only per-file scan work crosses the process boundary: pairing and
+checking are a global pass that the engine runs in-process once every
+file's sites exist.  Everything on the queues is plain data, the
+:class:`ExecContext` fields, or slim :class:`repro.core.cache.CachedScan`
+payloads.
 
 Task messages (parent -> worker), all tuples headed by a kind tag:
 
@@ -21,20 +12,14 @@ Task messages (parent -> worker), all tuples headed by a kind tag:
 ``("ctx", ...)``      install epoch-tagged shared context (defines,
                       headers, scan limits); no reply
 ``("scan", ...)``     parse+scan a batch of files -> slim ``CachedScan``s
-``("pairsync", ...)`` apply file-level deltas to a worker-side pairing
-                      index namespace; no reply
-``("cand", ...)``     compute best pairing candidates for writer refs
-``("check", ...)``    run CFG-bound checkers over a shard of pairings
 ``("crash",)``        test hook: ``os._exit`` immediately; no reply
 ``("exit",)``         shut the worker down cleanly; no reply
 ====================  ====================================================
 
-The three analysis kinds (``scan``/``cand``/``check``) are shaped
-``(kind, batch_id, tctx, *args)`` where ``tctx`` is the parent's trace
-context — a ``(trace id, parent span id)`` pair from
+``scan`` is shaped ``(kind, batch_id, tctx, jobs)`` where ``tctx`` is
+the parent's trace context — a ``(trace id, parent span id)`` pair from
 :func:`repro.trace.context.ship`, or ``None`` when the request is
-untraced.  ``ctx``/``pairsync``/``crash``/``exit`` carry no trace
-context.
+untraced.  ``ctx``/``crash``/``exit`` carry no trace context.
 
 Replies travel on one shared result queue as
 ``(worker_id, batch_id, status, payload, spans)`` with ``status``
@@ -48,17 +33,7 @@ is a list of span dicts timing the task (see
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any
-
-#: (path, site-index) — position in the file's canonical site list.
-SiteRef = tuple[str, int]
-#: (path, site-index, use-index) — position in the owning site's uses.
-UseRef = tuple[str, int, int]
-
-#: Pairing-index namespaces a worker keeps warm (LRU); the parent
-#: mirrors the eviction so sync deltas stay exact.
-PAIR_NS_CAP = 8
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -99,67 +74,3 @@ class ExecContext:
             read_window=read_window,
             epoch=digest.hexdigest(),
         )
-
-
-@dataclass
-class CheckEntry:
-    """One pairing of the parent's check list, by reference."""
-
-    entry: int
-    barrier_refs: list[SiteRef]
-    common_objects: list[Any]  # ObjectKey, picklable
-    weight: float
-
-
-@dataclass
-class FindingWire:
-    """A checker finding with object references instead of objects."""
-
-    kind: Any  # DeviationKind
-    filename: str
-    function: str
-    line: int
-    explanation: str
-    fix_action: Any  # FixAction
-    object_key: Any  # ObjectKey | None
-    entry: int
-    barrier: SiteRef | None = None
-    use: UseRef | None = None
-    reference_use: UseRef | None = None
-    details: dict[str, str] = field(default_factory=dict)
-
-
-def encode_finding(
-    finding,
-    entry: int,
-    site_refs: dict[int, SiteRef],
-    use_refs: dict[int, UseRef],
-) -> FindingWire:
-    """Strip a worker-side Finding down to refs (raises KeyError when a
-    site/use does not belong to the shipped shard — a protocol bug the
-    worker surfaces as a task error)."""
-
-    def site_ref(site) -> SiteRef | None:
-        if site is None:
-            return None
-        return site_refs[id(site)]
-
-    def use_ref(use) -> UseRef | None:
-        if use is None:
-            return None
-        return use_refs[id(use)]
-
-    return FindingWire(
-        kind=finding.kind,
-        filename=finding.filename,
-        function=finding.function,
-        line=finding.line,
-        explanation=finding.explanation,
-        fix_action=finding.fix_action,
-        object_key=finding.object_key,
-        entry=entry,
-        barrier=site_ref(finding.barrier),
-        use=use_ref(finding.use),
-        reference_use=use_ref(finding.reference_use),
-        details=dict(finding.details),
-    )

@@ -219,41 +219,8 @@ class PairingEngine:
 
     # -- public API ----------------------------------------------------------
 
-    def compute_candidates(
-        self, sites: list[BarrierSite]
-    ) -> "list[_Candidate | None]":
-        """Best candidate per site, through the index's memo.
-
-        The executor's worker processes call this over a shard of write
-        barriers: it is exactly the candidate-search half of
-        :meth:`pair` (memo included, so warm workers reuse prior
-        answers) without the global resolve/extend phases, which stay in
-        the parent.
-        """
-        cache = self._index.candidate_cache(self._config_token())
-        self.stats = {"candidates_reused": 0, "candidates_computed": 0}
-        out: list[_Candidate | None] = []
-        for site in sites:
-            if site.barrier_id in cache:
-                best = cache[site.barrier_id]
-                self.stats["candidates_reused"] += 1
-            else:
-                best = self._best_candidate(site)
-                cache[site.barrier_id] = best
-                self.stats["candidates_computed"] += 1
-            out.append(best)
-        return out
-
-    def pair(self, candidate_provider=None) -> PairingResult:
-        """Run Algorithm 1 over the index.
-
-        ``candidate_provider`` is the parallel-offload hook: called with
-        the write barriers whose best candidate is not memoized, it may
-        return ``{barrier_id: _Candidate | None}`` computed elsewhere
-        (worker processes) — or ``None`` to decline, in which case the
-        candidates are computed serially here.  Provided entries seed
-        the memo, so the rest of the algorithm is identical either way.
-        """
+    def pair(self) -> PairingResult:
+        """Run Algorithm 1 over the index."""
         result = PairingResult()
         candidates: list[_Candidate] = []
         deferred_ipc: set[str] = set()
@@ -263,18 +230,6 @@ class PairingEngine:
         writers = [
             site for site in self._index.sites() if site.is_write_barrier
         ]
-        if candidate_provider is not None:
-            missing = [
-                site for site in writers if site.barrier_id not in cache
-            ]
-            if missing:
-                provided = candidate_provider(missing)
-                if provided is not None:
-                    for site in missing:
-                        if site.barrier_id in provided:
-                            cache[site.barrier_id] = provided[site.barrier_id]
-                    self.stats["candidates_offloaded"] = len(provided)
-
         for site in writers:
             if site.barrier_id in cache:
                 best = cache[site.barrier_id]

@@ -134,7 +134,7 @@ class AnalysisService:
 
             self.store = FindingsStore(store_dir)
         # Every daemon is also a cluster worker node: the shard
-        # endpoints expose the executor stage offloads over HTTP (lazy
+        # endpoints expose the executor's scan offload over HTTP (lazy
         # import — repro.serve.shard imports this module's ServeError).
         from repro.serve.shard import ShardService
 
@@ -666,13 +666,18 @@ class _Handler(BaseHTTPRequestHandler):
                 "reanalyze",
             )
         elif url.path.startswith("/v1/shard/"):
+            from repro.serve.shard import SHARD_OPS, unknown_op
+
             op = url.path[len("/v1/shard/"):]
-            if op in ("ctx", "scan", "pairsync", "cand", "check"):
+            if op in SHARD_OPS:
                 self._dispatch(
                     lambda: self._handle_shard(op), f"shard.{op}"
                 )
             else:
-                self._dispatch(lambda: self._not_found(url.path), "unknown")
+                def refuse() -> None:
+                    raise unknown_op(op)
+
+                self._dispatch(refuse, "unknown")
         elif url.path == "/v1/runs":
             self._dispatch(
                 lambda: self._send_json(

@@ -1,37 +1,34 @@
 """Shard endpoints: one serve daemon as a cluster worker node.
 
 The cluster tier (``repro.cluster``) partitions a tree across N serve
-daemons.  Each daemon exposes the executor stage offloads over HTTP —
-the same scan / pairing-candidate / checker-shard operations a local
-``repro.exec`` worker process handles, so a :class:`ShardService` is
-literally a :class:`repro.exec.worker._WorkerState` behind a lock, fed
-by the existing worker handlers:
+daemons.  Each daemon exposes the executor's scan offload over HTTP —
+the same operation a local ``repro.exec`` worker process handles, so a
+:class:`ShardService` is literally a
+:class:`repro.exec.worker._WorkerState` behind a lock, fed by the
+existing worker handler:
 
 ====== ========================== =================================
 POST   ``/v1/shard/ctx``          install the epoch-tagged context
 POST   ``/v1/shard/scan``         parse+scan a batch of files
-POST   ``/v1/shard/pairsync``     apply pairing-index file deltas
-POST   ``/v1/shard/cand``         best pairing candidates for refs
-POST   ``/v1/shard/check``        CFG-bound checkers over a shard
 ====== ========================== =================================
+
+Pairing and checking are not shard operations: the coordinator's engine
+runs them in-process over the global site set.  Any other op is refused
+with ``404`` and a message naming the ops this node serves.
 
 Error contract (the coordinator's retry logic keys off these):
 
 * ``428`` — the request's epoch is not the installed one (node
   restarted, or never saw this tree); re-POST ``/v1/shard/ctx``.
-* ``409`` — unknown pairing namespace (node-side LRU evicted it, or
-  the node restarted); drop the mirror and resync in full.
 * ``503`` + ``Retry-After`` — draining, or at the concurrent-shard
   admission limit; back off and retry.
 
-Payload fields that carry analysis objects (``CachedScan`` lists,
-barrier sites, :class:`~repro.exec.protocol.CheckEntry` lists, candidate
-tuples, checker results) travel as base64(zlib(pickle)) blobs inside the
-JSON envelope — the same objects that already cross the executor's
-process queues and the disk cache.  This makes the shard protocol a
-**trusted intra-cluster transport**: nodes unpickle coordinator requests
-and the coordinator unpickles node responses, so cluster ports must only
-be reachable by their own coordinator (see docs/architecture.md).
+Scan results (``CachedScan`` lists) travel as base64(zlib(pickle))
+blobs inside the JSON envelope — the same objects that already cross
+the executor's process queues and the disk cache.  This makes the shard
+protocol a **trusted intra-cluster transport**: the coordinator
+unpickles node responses, so cluster ports must only be reachable by
+their own coordinator (see docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -43,16 +40,10 @@ import zlib
 from typing import Any, Callable
 
 from repro.exec.protocol import ExecContext
-from repro.exec.worker import (
-    _handle_cand,
-    _handle_check,
-    _handle_pairsync,
-    _handle_scan,
-    _WorkerState,
-)
+from repro.exec.worker import _apply_ctx, _handle_scan, _WorkerState
 
 #: Shard operations the HTTP layer routes (also the endpoint suffixes).
-SHARD_OPS = ("ctx", "scan", "pairsync", "cand", "check")
+SHARD_OPS = ("ctx", "scan")
 
 #: Concurrent shard requests admitted before ``503`` backpressure.
 DEFAULT_MAX_INFLIGHT = 8
@@ -68,13 +59,26 @@ def unpack(blob: str) -> Any:
     return pickle.loads(zlib.decompress(base64.b64decode(blob)))
 
 
+def unknown_op(op: str) -> Exception:
+    """The ``404`` a node answers for any op outside :data:`SHARD_OPS`
+    (including the pairing/checking shard ops older coordinators sent)."""
+    from repro.serve.server import ServeError
+
+    return ServeError(
+        404,
+        f"no such shard op {op!r}; this node serves "
+        f"{', '.join(SHARD_OPS)} (pairing and checking run on the "
+        f"coordinator)",
+    )
+
+
 class ShardService:
     """One node's shard-request handler: a locked worker state.
 
     ``executor`` (the node's own :class:`repro.exec.AnalysisExecutor`,
     when the daemon has one) takes the scan batches, so a node fans
-    parse work across its local process pool; pairing and checker
-    shards run on the service thread against the warm worker state.
+    parse work across its local process pool; otherwise batches are
+    scanned on the service thread against the warm worker state.
     ``accepting`` is polled per request so a draining daemon sheds
     shard traffic the same way it sheds job submissions.
     """
@@ -126,15 +130,9 @@ class ShardService:
         return epoch
 
     def handle(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        handler = {
-            "ctx": self.install_ctx,
-            "scan": self.scan,
-            "pairsync": self.pairsync,
-            "cand": self.cand,
-            "check": self.check,
-        }.get(op)
+        handler = {"ctx": self.install_ctx, "scan": self.scan}.get(op)
         if handler is None:
-            raise self._error(404, f"no such shard op {op!r}")
+            raise unknown_op(op)
         self._count(f"ops.{op}")
         return handler(payload)
 
@@ -155,8 +153,6 @@ class ShardService:
         self._admit()
         try:
             with self._lock:
-                from repro.exec.worker import _apply_ctx
-
                 _apply_ctx(
                     self._state, ("ctx", epoch, defines, headers, limits)
                 )
@@ -218,92 +214,19 @@ class ShardService:
             hits += inline_hits
         return collected, hits
 
-    def pairsync(self, payload: dict[str, Any]) -> dict[str, Any]:
-        self._check_epoch(payload)
-        ns = payload.get("ns")
-        if not ns:
-            raise self._error(400, "pairsync requires a namespace")
-        upserts = unpack(payload["upserts"]) if payload.get("upserts") \
-            else []
-        removes = [str(p) for p in payload.get("removes") or []]
-        self._admit()
-        try:
-            with self._lock:
-                try:
-                    _handle_pairsync(
-                        self._state, ("pairsync", ns, upserts, removes)
-                    )
-                except Exception as exc:
-                    # Poison the namespace, exactly like a pool worker:
-                    # the next cand against it answers 409 and the
-                    # coordinator resyncs from scratch.
-                    self._state.pair.pop(ns, None)
-                    raise self._error(
-                        500, f"pairsync failed: {type(exc).__name__}: {exc}"
-                    ) from exc
-                files = len(self._state.pair[ns].files())
-            return {"ok": True, "files": files}
-        finally:
-            self._slots.release()
-
-    def cand(self, payload: dict[str, Any]) -> dict[str, Any]:
-        self._check_epoch(payload)
-        ns = payload.get("ns")
-        token = tuple(payload.get("token") or ())
-        refs = [(str(p), int(i)) for p, i in payload.get("refs") or []]
-        self._admit()
-        try:
-            with self._lock:
-                if ns not in self._state.pair:
-                    self._count("ns_misses")
-                    raise self._error(
-                        409, f"unknown pairing namespace {ns!r}; resync"
-                    )
-                out, stats = _handle_cand(
-                    self._state, ("cand", 0, ns, token, refs)
-                )
-            return {"candidates": pack(out), "stats": dict(stats)}
-        finally:
-            self._slots.release()
-
-    def check(self, payload: dict[str, Any]) -> dict[str, Any]:
-        self._check_epoch(payload)
-        raw_files = payload.get("files") or {}
-        files = {
-            str(path): (str(entry[0]), str(entry[1]))
-            for path, entry in raw_files.items()
-        }
-        entries = unpack(payload["entries"]) if payload.get("entries") \
-            else []
-        checks = tuple(payload.get("checks") or ())
-        self._admit()
-        try:
-            with self._lock:
-                results = _handle_check(
-                    self._state, ("check", 0, files, entries, checks)
-                )
-            return {"results": pack(results)}
-        finally:
-            self._slots.release()
-
     # -- observability -----------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         with self._counts_lock:
             counts = dict(self._counts)
         with self._lock:
-            warm = {
-                "namespaces": len(self._state.pair),
-                "scan_cache": len(self._state.scan_cache),
-                "check_cache": len(self._state.check_cache),
-            }
+            scan_cache = len(self._state.scan_cache)
         out = {key: counts.get(key, 0) for key in (
             "ctx_installs", "scan_files", "scan_warm_hits",
-            "epoch_misses", "ns_misses", "rejected_busy",
-            "rejected_draining",
+            "epoch_misses", "rejected_busy", "rejected_draining",
         )}
         out["ops"] = sum(
             v for k, v in counts.items() if k.startswith("ops.")
         )
-        out.update(warm)
+        out["scan_cache"] = scan_cache
         return out

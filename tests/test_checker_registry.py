@@ -1,7 +1,7 @@
 """Checker registry tests: metadata consistency, the acquire-release
 checker (registered, never special-cased), cross-tier dispatch parity
-for random checker subsets, and the cluster node tag on shard checker
-failures.
+for random checker subsets, and checker failures that read the same on
+a cluster as serially (no node tag: checkers always run in-process).
 """
 
 import random
@@ -84,12 +84,6 @@ class TestRegistryConsistency:
         for spec in specs:
             for earlier in spec.after:
                 assert position[earlier] < position[spec.name]
-
-    def test_shardable_specs_are_ordering_bucket(self):
-        for spec in registry.shardable_specs():
-            assert spec.bucket == registry.ORDERING
-        names = [spec.name for spec in registry.shardable_specs()]
-        assert "acquire-release" in names
 
     def test_kind_ownership(self):
         assert registry.checker_for_kind(
@@ -179,7 +173,7 @@ class TestSubsetDispatchParity:
         case = generate_case(
             seed, allow_mutants=False, force_patterns=_PROPERTY_PATTERNS
         )
-        options = AnalysisOptions(checks=subset, exec_min_batch=1)
+        options = AnalysisOptions(checks=subset)
         problems = check_differential(
             lambda: case.source,
             modes=("serial", "executor", "cluster"),
@@ -211,29 +205,28 @@ class TestSubsetDispatchParity:
 
 
 class TestClusterCheckerFailureNodeTag:
-    """Satellite: a checkerfail in a cluster shard keeps its node."""
+    """Checker failures carry no node tag: checkers run on the
+    coordinator, so a cluster failure is the serial one."""
 
-    def test_shard_checkerfail_surfaces_with_node_label(self, monkeypatch):
+    def test_cluster_failure_matches_serial(self, monkeypatch):
         from repro.checkers.seqcount import SeqcountChecker
 
         def explode(self, pairings):
-            raise RuntimeError("synthetic shard crash")
+            raise RuntimeError("synthetic crash")
 
         monkeypatch.setattr(SeqcountChecker, "check", explode)
         source = KernelSource(files={"a.c": BUGGY_ACQREL})
         with ClusterHarness(nodes=2) as harness:
             result = harness.coordinator.analyze(source)
+        serial = _analyze(BUGGY_ACQREL)
         failures = [
             f for f in result.report.checker_failures
             if f.checker == "seqcount"
         ]
         assert len(failures) == 1
-        failure = failures[0]
-        assert "synthetic shard crash" in failure.error
-        assert failure.node in harness.urls
-        # The label is context, not outcome: describe() must stay
-        # mode-independent so run signatures keep matching serial.
-        assert failure.node not in failure.describe()
+        assert "synthetic crash" in failures[0].error
+        assert [f.describe() for f in result.report.checker_failures] \
+            == [f.describe() for f in serial.report.checker_failures]
 
     def test_serial_failure_has_no_node(self, monkeypatch):
         from repro.checkers.seqcount import SeqcountChecker
@@ -248,4 +241,4 @@ class TestClusterCheckerFailureNodeTag:
             if f.checker == "seqcount"
         ]
         assert len(failures) == 1
-        assert failures[0].node == ""
+        assert not hasattr(failures[0], "node")

