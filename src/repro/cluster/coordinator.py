@@ -72,9 +72,7 @@ class ClusterCoordinator:
             opts = dataclasses.replace(
                 options, executor=self.executor, workers=None,
             )
-        result = OFenceEngine(source, opts).analyze()
-        self.executor.record_result(result)
-        return result
+        return OFenceEngine(source, opts).analyze()
 
     # -- operations --------------------------------------------------------
 
@@ -96,11 +94,5 @@ class ClusterCoordinator:
         scan work fans out to the nodes."""
         from repro.serve.server import AnalysisServer, AnalysisService
 
-        def absorb(job) -> None:
-            if job.result is not None:
-                self.executor.record_result(job.result)
-
-        service = AnalysisService(
-            options=self.options, on_job_done=absorb, **service_kwargs
-        )
+        service = AnalysisService(options=self.options, **service_kwargs)
         return AnalysisServer(service=service, host=host, port=port)

@@ -1,12 +1,13 @@
 """The cluster executor: the engine's scan offload over N serve daemons.
 
 :class:`ClusterExecutor` implements the same stage-offload interface as
-:class:`repro.exec.AnalysisExecutor` — ``scan`` — but dispatches each
-shard over HTTP to a pool of worker nodes (serve daemons exposing the
-``/v1/shard/{ctx,scan}`` endpoints) instead of local processes.
-Plugging it into :class:`~repro.core.engine.AnalysisOptions.executor`
-turns any engine into a cluster coordinator, inheriting all of the
-engine's parity machinery for free:
+:class:`repro.exec.AnalysisExecutor` — ``scan`` — and the same
+fan-out (:func:`repro.exec.fanout.fan_out`), but each lane is a worker
+node (a serve daemon exposing the ``/v1/shard/{ctx,scan}`` endpoints)
+reached over HTTP instead of a local process.  Plugging it into
+:class:`~repro.core.engine.AnalysisOptions.executor` turns any engine
+into a cluster coordinator, inheriting all of the engine's parity
+machinery for free:
 
 * files are sharded by consistent hash (:class:`~repro.cluster.ring
   .HashRing`), so assignment is deterministic and node-local scan
@@ -14,32 +15,27 @@ engine's parity machinery for free:
 * pairing and checking are **not** distributed: the coordinator's
   engine runs them in-process over the global site set, exactly as a
   serial run does;
-* every failure mode (node down, RPC timeout, misaligned reply)
-  degrades to an incomplete scan, whose missing files the engine
-  re-scans serially — never a wrong result.  The one exception is a
-  coordinator shutting down: a ``close()`` racing an in-flight scan
-  raises :class:`~repro.exec.executor.ExecutorClosed` instead of
-  letting the drain degrade into a serial re-run.
+* every failure mode (node down, RPC timeout, error reply) degrades to
+  an incomplete scan, whose missing files the engine re-scans serially
+  — never a wrong result.
 
-Tracing: under an active trace each RPC attempt is an ``rpc.<op>``
-span, the trace context rides the ``X-Repro-Trace`` header (attached
-by the underlying HTTP client), and the spans a node returns inline
-are absorbed under that RPC span — producing one coherent tree across
-coordinator, nodes, and the nodes' exec workers.  Fan-out threads each
-run in their own ``contextvars`` context copy; a single context cannot
-be entered by two threads at once.
-
-Failure handling: nodes answering 503 are backed off per
+What is specific to HTTP: 428 (the node does not hold the request's
+context epoch) surfaces as :class:`~repro.exec.fanout.StaleContext`,
+which the fan-out answers with one re-install; 503 backs off per
 ``Retry-After``; connection-level failures retry with exponential
-backoff and then mark the node down, its shard re-dispatched to the
-next live node on the ring (``redispatches`` counter).  ``probe()``
-re-admits recovered nodes with their warm state assumed gone (the 428
-context resync handles the rest).
+backoff and then mark the node down.  A failed node's shard moves to
+the next live node (``redispatches``).  ``probe()`` re-admits recovered
+nodes with their warm state assumed gone.
+
+Tracing: under an active trace each scan RPC is an ``rpc.scan`` span,
+the trace context rides the ``X-Repro-Trace`` header (attached by the
+underlying HTTP client), and the spans a node returns inline are
+absorbed by the fan-out — producing one coherent tree across
+coordinator, nodes, and the nodes' exec workers.
 """
 
 from __future__ import annotations
 
-import contextvars
 import http.client
 import threading
 import time
@@ -47,40 +43,71 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.client import ShardClient
-from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
-from repro.exec.executor import ExecutorClosed
+from repro.cluster.ring import HashRing
+from repro.exec.fanout import LaneDown, StaleContext, fan_out
 from repro.exec.protocol import ExecContext
 from repro.serve.client import ClientError
 from repro.serve.metrics import LatencyWindow
 from repro.serve.shard import unpack
-from repro.trace.context import absorb_remote, span
+from repro.trace.context import span
 
 #: Connection-level failures: what a dead/dying node looks like.  Note
 #: ``http.client.HTTPException`` (e.g. BadStatusLine from a listener
 #: closed mid-response) is *not* an OSError.
 _CONN_ERRORS = (OSError, http.client.HTTPException)
+#: Connection retries before a node is marked down.
+NODE_RETRIES = 1
+#: 503 answers honoured per call before it counts as a node error.
+BUSY_RETRIES = 3
+#: First back-off delay and its cap, in seconds.
+RETRY_BACKOFF = 0.1
+MAX_BACKOFF = 5.0
 
 
-class NodeDown(Exception):
+class NodeDown(LaneDown):
     """A node failed its retry budget for one RPC."""
 
 
 class _Node:
-    """Coordinator-side handle of one worker node."""
+    """Coordinator-side handle of one worker node: a fan-out lane."""
 
-    def __init__(self, url: str, client: ShardClient):
+    def __init__(self, url: str, client: ShardClient,
+                 owner: "ClusterExecutor"):
         self.url = url
         self.client = client
+        self.owner = owner
         self.up = True
-        #: Context epoch last installed on this node (this incarnation).
-        self.epoch_sent: str | None = None
+        #: Context epoch installed on this node (this incarnation).
+        self.epoch: str | None = None
         self.latency = LatencyWindow()
         self.rpcs = 0
         self.errors = 0
 
-    def forget_warm_state(self) -> None:
-        """The node restarted (or may have): assume its caches are gone."""
-        self.epoch_sent = None
+    def install(self, ctx: ExecContext) -> None:
+        self.owner._call(self, lambda: self.client.shard_ctx(ctx))
+
+    def run(self, batches, ctx: ExecContext):
+        owner = self.owner
+        for batch in batches:
+            hook = owner.on_scan_dispatch
+            if hook is not None:
+                hook(self.url)
+            with owner._stats_lock:
+                owner.stats.count_op("scan")
+            started = time.monotonic()
+            # The span is active around the call so the HTTP client
+            # ships it in X-Repro-Trace: spans the node records for
+            # this request parent under this rpc span.
+            with span("rpc.scan", target=self.url):
+                out = owner._call(
+                    self, lambda: self.client.shard_scan(ctx.epoch, batch)
+                )
+            self.latency.record(time.monotonic() - started)
+            with owner._stats_lock:
+                self.rpcs += 1
+                owner.stats.rpcs += 1
+            yield unpack(out["payloads"]), out.get("hits", 0), \
+                out.get("spans")
 
 
 @dataclass
@@ -94,7 +121,6 @@ class ClusterStats:
     nodes_revived: int = 0
     scan_files_lost: int = 0
     scan_duplicates: int = 0
-    merge_seconds: float = 0.0
     ops: dict[str, int] = field(default_factory=dict)
 
     def count_op(self, name: str) -> None:
@@ -107,12 +133,7 @@ class ClusterExecutor:
     def __init__(
         self,
         nodes: list[str],
-        replicas: int = DEFAULT_REPLICAS,
         timeout: float = 300.0,
-        node_retries: int = 1,
-        retry_backoff: float = 0.1,
-        max_backoff: float = 5.0,
-        busy_retries: int = 3,
         client_factory: Callable[[str], ShardClient] | None = None,
     ):
         if not nodes:
@@ -120,19 +141,15 @@ class ClusterExecutor:
         factory = client_factory or (
             lambda url: ShardClient(url, timeout=timeout)
         )
-        self._nodes = [_Node(url.rstrip("/"), factory(url.rstrip("/")))
-                       for url in dict.fromkeys(nodes)]
-        self._ring = HashRing([n.url for n in self._nodes], replicas)
-        self._node_retries = max(0, node_retries)
-        self._retry_backoff = retry_backoff
-        self._max_backoff = max_backoff
-        self._busy_retries = max(0, busy_retries)
+        self._nodes = [_Node(url, factory(url), self) for url in
+                       dict.fromkeys(url.rstrip("/") for url in nodes)]
+        self._ring = HashRing([n.url for n in self._nodes])
         self._closed = False
         self._stats_lock = threading.Lock()
         self.stats = ClusterStats()
-        #: Test hook: called with a node's url just before its scan
-        #: group is dispatched (outside locks) — crash-injection point: a
-        #: node killed here fails that RPC and its group fails over.
+        #: Test hook: called with a node's url just before a scan group
+        #: is dispatched to it (outside locks) — crash-injection point:
+        #: a node killed here fails that RPC and its group fails over.
         self.on_scan_dispatch: Callable[[str], None] | None = None
 
     # -- executor interface surface ----------------------------------------
@@ -157,10 +174,6 @@ class ClusterExecutor:
 
     # -- node management ---------------------------------------------------
 
-    @property
-    def nodes(self) -> list[str]:
-        return [n.url for n in self._nodes]
-
     def _live(self) -> list[_Node]:
         return [n for n in self._nodes if n.up]
 
@@ -180,7 +193,7 @@ class ClusterExecutor:
                 alive = False
             if alive and not node.up:
                 node.up = True
-                node.forget_warm_state()
+                node.epoch = None
                 with self._stats_lock:
                     self.stats.nodes_revived += 1
             elif not alive and node.up:
@@ -191,192 +204,76 @@ class ClusterExecutor:
     def _mark_down(self, node: _Node) -> None:
         if node.up:
             node.up = False
-            node.forget_warm_state()
+            node.epoch = None
             with self._stats_lock:
                 self.stats.node_failures += 1
 
-    # -- RPC core ----------------------------------------------------------
-
-    def _rpc(self, node: _Node, op: str,
-             fn: Callable[[], dict[str, Any]],
-             ctx: ExecContext) -> dict[str, Any]:
-        """One shard RPC with the full retry ladder.
-
-        428 → (re)install the context and retry; 503 → honour
-        Retry-After up to ``busy_retries``; connection failures →
-        exponential backoff up to ``node_retries``, then
-        :class:`NodeDown`.
-        """
-        with self._stats_lock:
-            self.stats.count_op(op)
-        conn_failures = 0
-        busy_waits = 0
-        delay = self._retry_backoff
+    def _call(self, node: _Node, fn: Callable[[], dict[str, Any]]):
+        """One node call with the back-off ladder: 428 →
+        :class:`StaleContext`; 503 → honour Retry-After up to
+        ``BUSY_RETRIES``; connection failures → exponential backoff up
+        to ``NODE_RETRIES``, then the node is down (:class:`NodeDown`).
+        Any other error answer fails the call (:class:`LaneDown`)."""
+        conn_failures = busy_waits = 0
+        delay = RETRY_BACKOFF
         while True:
             try:
-                if node.epoch_sent != ctx.epoch:
-                    node.client.shard_ctx(ctx)
-                    node.epoch_sent = ctx.epoch
-                started = time.monotonic()
-                # The span is active around fn() so the HTTP client
-                # ships it in X-Repro-Trace: spans the node records
-                # for this request parent under this rpc span.
-                with span(f"rpc.{op}", target=node.url):
-                    out = fn()
-                node.latency.record(time.monotonic() - started)
-                node.rpcs += 1
-                with self._stats_lock:
-                    self.stats.rpcs += 1
-                if isinstance(out, dict):
-                    absorb_remote(out.pop("spans", None))
-                return out
+                return fn()
             except ClientError as exc:
                 if exc.status == 428:
-                    # Node lost the context (restart, eviction): its
-                    # warm state is stale too.
-                    node.forget_warm_state()
-                    continue
-                if exc.status == 503 and busy_waits < self._busy_retries:
+                    raise StaleContext(node.url) from exc
+                if exc.status == 503 and busy_waits < BUSY_RETRIES:
                     busy_waits += 1
-                    time.sleep(min(exc.retry_after or delay,
-                                   self._max_backoff))
-                    delay = min(delay * 2, self._max_backoff)
+                    time.sleep(min(exc.retry_after or delay, MAX_BACKOFF))
+                    delay = min(delay * 2, MAX_BACKOFF)
                     continue
-                node.errors += 1
-                with self._stats_lock:
-                    self.stats.rpc_errors += 1
-                raise
+                self._count_error(node)
+                raise LaneDown(f"{node.url}: {exc}") from exc
             except _CONN_ERRORS as exc:
-                node.errors += 1
-                with self._stats_lock:
-                    self.stats.rpc_errors += 1
-                if conn_failures >= self._node_retries:
+                self._count_error(node)
+                if conn_failures >= NODE_RETRIES:
                     self._mark_down(node)
                     raise NodeDown(f"{node.url}: {exc}") from exc
                 conn_failures += 1
-                time.sleep(min(delay, self._max_backoff))
-                delay = min(delay * 2, self._max_backoff)
+                time.sleep(min(delay, MAX_BACKOFF))
+                delay = min(delay * 2, MAX_BACKOFF)
 
-    def _with_failover(self, first: _Node, op: str,
-                       fn: Callable[[_Node], dict[str, Any]],
-                       ctx: ExecContext) -> dict[str, Any] | None:
-        """Run ``fn`` against ``first``; on NodeDown walk the remaining
-        live nodes (list order) until one answers.  ``None`` when every
-        node is down or errored."""
-        tried: set[str] = set()
-        node: _Node | None = first
-        while node is not None:
-            tried.add(node.url)
-            try:
-                return self._rpc(node, op, lambda: fn(node), ctx)
-            except NodeDown:
-                with self._stats_lock:
-                    self.stats.redispatches += 1
-            except ClientError:
-                return None
-            node = next(
-                (n for n in self._live() if n.url not in tried), None
-            )
-        return None
+    def _count_error(self, node: _Node) -> None:
+        with self._stats_lock:
+            node.errors += 1
+            self.stats.rpc_errors += 1
 
-    def _node_by_url(self, url: str) -> _Node:
-        for node in self._nodes:
-            if node.url == url:
-                return node
-        raise KeyError(url)
+    def _successor(self, node: _Node, tried: list) -> _Node | None:
+        """The next live node (list order) not yet tried for a group."""
+        nxt = next((n for n in self._live() if n not in tried), None)
+        if nxt is not None:
+            with self._stats_lock:
+                self.stats.redispatches += 1
+        return nxt
 
-    # -- stage offloads ----------------------------------------------------
+    # -- stage offload -----------------------------------------------------
 
     def scan(self, jobs, ctx: ExecContext, on_result) -> dict:
-        """Shard ``jobs`` by file path over live nodes; one thread per
-        node group.  Files a dead group loses are left undelivered —
-        the engine re-scans them serially, so the run stays complete."""
-        base = {
-            "dispatched": len(jobs), "completed": 0, "batches": 0,
-            "worker_hits": 0, "respawns": 0, "workers_used": 0,
-        }
-        if not jobs or self._closed:
-            return base
-        live = {n.url for n in self._live()}
-        if not live:
-            return base
-        redispatch_before = self.stats.redispatches
+        """Shard ``jobs`` by file path over live nodes, one group per
+        node.  Files no node delivers are left undelivered — the engine
+        re-scans them serially, so the run stays complete."""
         by_path = {job[0]: job for job in jobs}
-        groups = self._ring.assign(list(by_path), live)
-        keys = {path: key for path, _text, key in jobs}
-        delivered: set[str] = set()
-        absorb_lock = threading.Lock()
-        results: list[dict | None] = []
-
-        def run_group(url: str, paths: list[str]) -> None:
-            node = self._node_by_url(url)
-            group_jobs = [by_path[p] for p in paths]
-            hook = self.on_scan_dispatch
-            if hook is not None:
-                hook(url)
-            out = self._with_failover(
-                node, "scan",
-                lambda n: n.client.shard_scan(ctx.epoch, group_jobs),
-                ctx,
-            )
-            with absorb_lock:
-                results.append(out)
-
-        threads = [
-            threading.Thread(target=contextvars.copy_context().run,
-                             args=(run_group, url, paths),
-                             name=f"cluster-scan-{i}", daemon=True)
-            for i, (url, paths) in enumerate(groups.items())
+        live = {n.url for n in self._live()}
+        groups = self._ring.assign(list(by_path), live) if live else {}
+        nodes = {n.url: n for n in self._nodes}
+        plan = [
+            (nodes[url], [[by_path[p] for p in paths]])
+            for url, paths in groups.items()
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        for out in results:
-            if out is None:
-                continue
-            base["batches"] += 1
-            base["worker_hits"] += out.get("hits", 0)
-            for cached in unpack(out["payloads"]):
-                path = cached.filename
-                if path not in keys or path in delivered:
-                    with self._stats_lock:
-                        self.stats.scan_duplicates += 1
-                    continue
-                delivered.add(path)
-                on_result(cached, keys[path])
-                base["completed"] += 1
-
-        lost = len(jobs) - base["completed"]
-        if lost and self._closed:
-            # Closed out from under the op: the missing files are a
-            # shutdown artefact, not a node failure — don't let the
-            # engine quietly re-scan them serially during the drain.
-            raise ExecutorClosed("cluster executor closed mid-scan")
-        if lost:
-            with self._stats_lock:
-                self.stats.scan_files_lost += lost
-        base["respawns"] = self.stats.redispatches - redispatch_before
-        base["workers_used"] = len(groups)
-        return base
-
-    # -- observability -----------------------------------------------------
-
-    def record_result(self, result) -> None:
-        """Fold one analysis result's coordinator-side stage timings
-        into the cluster stats (pair, check and patch run on the
-        coordinator)."""
-        profile = getattr(result, "profile", None)
-        if profile is None:
-            return
-        stages = getattr(profile, "stages", {}) or {}
-        spent = sum(
-            seconds for name, seconds in stages.items()
-            if name in ("pair", "check", "patch")
+        stats = fan_out(
+            plan, ctx, on_result, self._successor, lambda: self._closed
         )
         with self._stats_lock:
-            self.stats.merge_seconds += spent
+            self.stats.scan_duplicates += stats["dropped"]
+            self.stats.scan_files_lost += len(jobs) - stats["completed"]
+        return stats
+
+    # -- observability -----------------------------------------------------
 
     def snapshot(self) -> dict:
         """Flat numerics (the ``executor`` gauge group shape)."""
@@ -398,7 +295,6 @@ class ClusterExecutor:
         (``ofence_cluster_*``), including per-node latency series."""
         snap: dict[str, Any] = self.snapshot()
         with self._stats_lock:
-            snap["merge_seconds"] = round(self.stats.merge_seconds, 6)
             snap["shard_ops"] = dict(self.stats.ops)
         snap["per_node"] = {
             node.url: {

@@ -701,7 +701,7 @@ class OFenceEngine:
 #
 # A run mode is a function ``(KernelSource, AnalysisOptions | None) ->
 # AnalysisResult`` that drives the whole pipeline with one execution
-# strategy (serial, parallel, disk-cached, incremental, ...).  The
+# strategy (serial, process pool, disk-cached, incremental, ...).  The
 # registry makes the strategies enumerable, so the differential-testing
 # layer (``repro.fuzz``) can run any source tree through every mode and
 # diff the results; callers can register additional modes.
@@ -777,38 +777,30 @@ def _run_traced(
         return OFenceEngine(source, opts).analyze()
 
 
-@register_run_mode("parallel")
-def _run_parallel(
-    source: KernelSource, options: AnalysisOptions | None = None
-) -> AnalysisResult:
-    workers = options.workers if options is not None else None
-    if workers is None or workers < 2:
-        workers = 2
-    opts = _mode_options(options, workers=workers, cache_dir=None)
-    return OFenceEngine(source, opts).analyze()
-
-
 @register_run_mode("executor")
 def _run_executor(
     source: KernelSource, options: AnalysisOptions | None = None
 ) -> AnalysisResult:
-    """Analysis through the shared persistent pool, warm-pool pass last.
+    """Analysis through the shared persistent pool, cold then warm.
 
-    Two full runs against the process-wide default executor, so the
-    scan of every multi-file tree crosses the worker boundary and
-    pairing and checking run in-process over the workers' sites.  The
-    second run exercises the warm path — the workers' scan caches are
-    already populated — and its result is the one diffed against serial
-    mode.
+    Two full runs with ``workers=2`` and no explicit executor, so the
+    engine picks the process-wide default pool exactly as ``--workers``
+    does: the scan of every multi-file tree crosses the worker boundary
+    and pairing and checking run in-process over the workers' sites.
+    The second run hits the workers' warm scan caches; the two must
+    agree, and the warm result is the one diffed against serial mode.
     """
-    from repro.exec.executor import get_default_executor
+    from repro.fuzz.differential import run_signature  # lazy: imports us
 
-    ex = get_default_executor(2)
-    opts = _mode_options(
-        options, workers=2, cache_dir=None, executor=ex
-    )
-    OFenceEngine(source, opts).analyze()
-    return OFenceEngine(source, opts).analyze()
+    opts = _mode_options(options, workers=2, cache_dir=None, executor=None)
+    cold = OFenceEngine(source, opts).analyze()
+    warm = OFenceEngine(source, opts).analyze()
+    if run_signature(cold) != run_signature(warm):
+        raise RuntimeError(
+            "executor parity violation: the warm-pool run diverged from "
+            "the cold run on the same tree"
+        )
+    return warm
 
 
 @register_run_mode("cached")

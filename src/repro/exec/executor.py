@@ -7,25 +7,22 @@ each batch finishes.  Per-file analysis is the part of a run that
 parallelizes; pairing and checking are a cheap global pass the engine
 runs in-process once the sites exist.
 
-Design points:
+The fan-out itself (context epochs, re-dispatch, duplicate dropping,
+``ExecutorClosed``) is :func:`repro.exec.fanout.fan_out`, shared with
+the cluster tier; this module is the process transport:
 
 * **Explicit start method.**  ``fork`` where available (fast, Linux),
   ``spawn`` otherwise or via ``REPRO_EXEC_START_METHOD`` — never the
   platform default, so macOS/Linux behave identically and the daemon can
   run under ``spawn``.
-* **Lazy start, idle reaping.**  Workers spawn on first use; with
-  ``idle_timeout`` set, a background reaper terminates the pool after a
-  quiet period and the next call re-spawns it.
-* **Crash recovery.**  A worker dying mid-batch is detected in the
-  collect loop; the worker is respawned (fresh queue, fresh state) and
-  its lost batches are re-dispatched.  Warm state is rebuilt on demand.
+* **Lazy start.**  Workers spawn on first use and live until ``close()``.
+* **Crash recovery.**  A worker that dies (or stalls for
+  :data:`OP_TIMEOUT` seconds) mid-batch is respawned with a fresh
+  queue and state, and its unfinished batches re-run on the new one.
 * **Never-raise toward the engine** — with one deliberate exception.
-  Infrastructure failures (worker crashes, op timeouts, start errors)
-  surface as ``None``/incomplete returns and the engine falls back to
-  its serial path; analysis results are never silently wrong, at worst
-  the offload is skipped.  But a ``close()`` racing an in-flight op
-  raises :class:`ExecutorClosed` instead: shutdown must not be
-  silently converted into a serial re-run that outlives the drain.
+  Infrastructure failures surface as incomplete scans and the engine
+  scans the missing files serially; but a ``close()`` racing an
+  in-flight op raises :class:`ExecutorClosed`.
 
 One executor instance may be shared by many engines and threads (the
 serve daemon does exactly that); a single re-entrant lock serializes
@@ -41,28 +38,16 @@ import os
 import queue as queue_mod
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from repro.exec.fanout import ExecutorClosed, LaneDown, fan_out
 from repro.exec.protocol import ExecContext
-from repro.trace.context import absorb_remote
 from repro.trace.context import ship as ship_trace
 
-#: Seconds without any result or crash before an op gives up and the
-#: engine falls back to serial execution.
-DEFAULT_OP_TIMEOUT = 300.0
+#: Seconds a worker may go without answering a queued batch before it
+#: is treated as dead and respawned.
+OP_TIMEOUT = 300.0
 _POLL = 0.2
-
-
-class ExecutorClosed(RuntimeError):
-    """The pool was closed while (or before) an offload used it.
-
-    Raised instead of degrading to the serial path: a close racing an
-    in-flight op means the process is shutting down, and silently
-    re-running the analysis serially would hide the shutdown (and stall
-    it).  Callers that *want* serial fallback check ``closed`` before
-    dispatching — the engine's ``_active_executor`` does exactly that —
-    so this only surfaces when the close genuinely interrupted work.
-    """
 
 
 def _start_method(explicit: str | None) -> str:
@@ -81,60 +66,65 @@ class ExecStats:
 
     spawned: int = 0
     respawns: int = 0
-    reaped: int = 0
     tasks_completed: int = 0
     batches_sent: int = 0
     worker_scan_hits: int = 0
-    op_timeouts: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "spawned": self.spawned,
-            "respawns": self.respawns,
-            "reaped": self.reaped,
-            "tasks_completed": self.tasks_completed,
-            "batches_sent": self.batches_sent,
-            "worker_scan_hits": self.worker_scan_hits,
-            "op_timeouts": self.op_timeouts,
-        }
 
 
 class _Worker:
-    """Parent-side handle of one pool process."""
+    """Parent-side handle of one pool process: a fan-out lane."""
 
-    def __init__(self, wid: int, process, task_q):
+    def __init__(self, wid: int, process, task_q, result_q):
         self.wid = wid
         self.process = process
         self.task_q = task_q
+        self.result_q = result_q
         #: Context epoch last shipped to this worker.
-        self.sent_epoch: str | None = None
-        self.inflight = 0
+        self.epoch: str | None = None
         self.tasks_done = 0
+
+    def install(self, ctx: ExecContext) -> None:
+        self.task_q.put((
+            "ctx", ctx.epoch, ctx.defines, ctx.headers,
+            (ctx.write_window, ctx.read_window),
+        ))
+
+    def run(self, batches, ctx: ExecContext):
+        # Queue every batch up front so the worker never idles between
+        # them; replies come back in queue order.
+        tctx = ship_trace()
+        for index, batch in enumerate(batches):
+            self.task_q.put(("scan", index, tctx, batch))
+        pending = len(batches)
+        last = time.monotonic()
+        while pending:
+            try:
+                _wid, _index, status, payload, spans = self.result_q.get(
+                    timeout=_POLL
+                )
+            except queue_mod.Empty:
+                if not self.process.is_alive():
+                    raise LaneDown(f"exec worker {self.wid} died")
+                if time.monotonic() - last > OP_TIMEOUT:
+                    raise LaneDown(f"exec worker {self.wid} stalled")
+                continue
+            pending -= 1
+            last = time.monotonic()
+            self.tasks_done += 1
+            payloads, hits = payload if status == "ok" else ([], 0)
+            yield payloads, hits, spans
 
 
 class AnalysisExecutor:
     """Persistent process pool shared by CLI, engine, and serve daemon."""
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str | None = None,
-        idle_timeout: float | None = None,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
-    ):
+    def __init__(self, workers: int = 2, start_method: str | None = None):
         self._size = max(1, int(workers))
         self._mp = multiprocessing.get_context(_start_method(start_method))
-        self._idle_timeout = idle_timeout
-        self._op_timeout = op_timeout
         self._lock = threading.RLock()
         self._workers: list[_Worker] = []
-        self._result_q = None
-        self._batch_ids = itertools.count(1)
         self._wid_seq = itertools.count(1)
         self._closed = False
-        self._shutdown = threading.Event()
-        self._last_activity = time.monotonic()
-        self._reaper: threading.Thread | None = None
         self.stats = ExecStats()
 
     # -- lifecycle ---------------------------------------------------------
@@ -158,35 +148,27 @@ class AnalysisExecutor:
                 self._size = int(workers)
 
     def _ensure_started(self) -> None:
-        if self._result_q is None:
-            self._result_q = self._mp.Queue()
         while len(self._workers) < self._size:
             self._workers.append(self._spawn())
-        if self._idle_timeout is not None and self._reaper is None:
-            self._reaper = threading.Thread(
-                target=self._reap_loop, name="exec-reaper", daemon=True
-            )
-            self._reaper.start()
 
     def _spawn(self) -> _Worker:
         from repro.exec.worker import worker_main
 
         wid = next(self._wid_seq)
-        task_q = self._mp.Queue()
+        task_q, result_q = self._mp.Queue(), self._mp.Queue()
         process = self._mp.Process(
-            target=worker_main, args=(wid, task_q, self._result_q),
+            target=worker_main, args=(wid, task_q, result_q),
             name=f"ofence-exec-{wid}", daemon=True,
         )
         process.start()
         self.stats.spawned += 1
-        return _Worker(wid, process, task_q)
+        return _Worker(wid, process, task_q, result_q)
 
-    def _replace(self, worker: _Worker) -> _Worker:
-        """Respawn a dead worker: fresh process, queue, and warm state."""
-        try:
-            worker.process.join(timeout=0.1)
-        except Exception:
-            pass
+    def _replace(self, worker: _Worker, _tried=None) -> _Worker:
+        """Respawn a failed worker (killing it first if it merely
+        stalled): fresh process, queues, and warm state."""
+        worker.process.kill()
+        worker.process.join(timeout=0.1)
         replacement = self._spawn()
         try:
             self._workers[self._workers.index(worker)] = replacement
@@ -194,23 +176,6 @@ class AnalysisExecutor:
             self._workers.append(replacement)
         self.stats.respawns += 1
         return replacement
-
-    def _reap_loop(self) -> None:
-        while True:
-            timeout = self._idle_timeout or 1.0
-            time.sleep(max(0.05, timeout / 4))
-            with self._lock:
-                if self._closed:
-                    return
-                if not self._workers:
-                    continue
-                if any(w.inflight for w in self._workers):
-                    continue
-                if time.monotonic() - self._last_activity < timeout:
-                    continue
-                count = len(self._workers)
-                self._shutdown_workers()
-                self.stats.reaped += count
 
     def _shutdown_workers(self) -> None:
         for worker in self._workers:
@@ -230,20 +195,12 @@ class AnalysisExecutor:
 
     def close(self) -> None:
         # Flag shutdown *before* taking the lock: an in-flight op holds
-        # the lock for its whole collect loop, and must observe the
-        # event and raise ExecutorClosed instead of stalling this close
-        # until its op timeout.  Teardown below is idempotent.
+        # the lock for its whole fan-out, and must observe the flag and
+        # raise ExecutorClosed instead of stalling this close.  Teardown
+        # below is idempotent.
         self._closed = True
-        self._shutdown.set()
         with self._lock:
             self._shutdown_workers()
-            if self._result_q is not None:
-                try:
-                    self._result_q.close()
-                    self._result_q.cancel_join_thread()
-                except Exception:
-                    pass
-                self._result_q = None
 
     def __enter__(self) -> "AnalysisExecutor":
         return self
@@ -275,147 +232,38 @@ class AnalysisExecutor:
                     1 for w in self._workers if w.process.is_alive()
                 ),
                 "start_method": self.start_method,
-                **self.stats.as_dict(),
+                **asdict(self.stats),
                 "per_worker_tasks": [w.tasks_done for w in self._workers],
             }
 
-    # -- dispatch core -----------------------------------------------------
+    # -- stage offload -----------------------------------------------------
 
-    def _run_tasks(self, ctx: ExecContext, tasks, on_payload=None):
-        """Dispatch ``tasks`` (= ``(kind, args)`` tuples) and collect.
-
-        Returns a list aligned with ``tasks`` of ``("ok", payload)`` /
-        ``("error", message)`` / ``None`` (lost to an op timeout), or
-        ``None`` outright when the executor is closed or cannot start.
-        ``on_payload(index, payload)`` streams successes as they land.
-
-        Raises :class:`ExecutorClosed` when the pool is closed at entry
-        or is closed out from under the op mid-collect.
-        """
-        tctx = ship_trace()
+    def scan(self, jobs, ctx: ExecContext, on_result) -> dict:
+        """Batched parse+scan.  ``jobs`` is ``[(path, text, key)]``;
+        ``on_result(CachedScan, key)`` is called as payloads stream in.
+        Files missing from the stream (worker error, start failure) are
+        the caller's to re-scan serially; the returned stats say how
+        many completed."""
         with self._lock:
             if self._closed:
                 raise ExecutorClosed("executor is closed")
             try:
                 self._ensure_started()
             except Exception:
-                return None
-            self._last_activity = time.monotonic()
-            results: list = [None] * len(tasks)
-            pending: dict[int, int] = {}
-            assigned: dict[int, _Worker] = {}
-
-            def send(i: int) -> None:
-                worker = min(
-                    self._workers, key=lambda w: (w.inflight, w.wid)
-                )
-                if worker.sent_epoch != ctx.epoch:
-                    worker.task_q.put((
-                        "ctx", ctx.epoch, ctx.defines, ctx.headers,
-                        (ctx.write_window, ctx.read_window),
-                    ))
-                    worker.sent_epoch = ctx.epoch
-                kind, args = tasks[i]
-                bid = next(self._batch_ids)
-                pending[bid] = i
-                assigned[bid] = worker
-                worker.inflight += 1
-                self.stats.batches_sent += 1
-                worker.task_q.put((kind, bid, tctx, *args))
-
-            for i in range(len(tasks)):
-                send(i)
-
-            by_wid = {w.wid: w for w in self._workers}
-            last_progress = time.monotonic()
-            while pending:
-                if self._shutdown.is_set():
-                    raise ExecutorClosed(
-                        "executor closed while tasks were in flight"
-                    )
-                try:
-                    wid, bid, status, payload, spans = self._result_q.get(
-                        timeout=_POLL
-                    )
-                except queue_mod.Empty:
-                    dead = [
-                        w for w in {assigned[b] for b in pending}
-                        if not w.process.is_alive()
-                    ]
-                    if dead:
-                        for worker in dead:
-                            lost = [
-                                b for b in list(pending)
-                                if assigned[b] is worker
-                            ]
-                            self._replace(worker)
-                            for b in lost:
-                                i = pending.pop(b)
-                                assigned.pop(b, None)
-                                send(i)
-                        by_wid = {w.wid: w for w in self._workers}
-                        last_progress = time.monotonic()
-                        continue
-                    if time.monotonic() - last_progress > self._op_timeout:
-                        self.stats.op_timeouts += 1
-                        for worker in self._workers:
-                            worker.inflight = 0
-                        break
-                    continue
-                worker = by_wid.get(wid)
-                if worker is not None and worker.inflight > 0:
-                    worker.inflight -= 1
-                    worker.tasks_done += 1
-                last_progress = time.monotonic()
-                if bid not in pending:
-                    continue  # stale reply from an aborted earlier op
-                absorb_remote(spans)
-                i = pending.pop(bid)
-                assigned.pop(bid, None)
-                if status == "ok":
-                    results[i] = ("ok", payload)
-                    self.stats.tasks_completed += 1
-                    if on_payload is not None:
-                        on_payload(i, payload)
-                else:
-                    results[i] = ("error", payload)
-            self._last_activity = time.monotonic()
-            return results
-
-    # -- stage offloads ----------------------------------------------------
-
-    def scan(self, jobs, ctx: ExecContext, on_result) -> dict:
-        """Batched parse+scan.  ``jobs`` is ``[(path, text, key)]``;
-        ``on_result(CachedScan, key)`` is called as payloads stream in.
-        Files missing from the stream (worker error, timeout) are the
-        caller's to re-scan serially; the returned stats say how many
-        completed."""
-        base = {
-            "dispatched": len(jobs), "completed": 0, "batches": 0,
-            "worker_hits": 0, "respawns": 0, "workers_used": 0,
-        }
-        if not jobs:
-            return base
-        respawns_before = self.stats.respawns
-        size = max(1, min(32, -(-len(jobs) // (self._size * 3))))
-        chunks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-        keys = {path: key for path, _text, key in jobs}
-
-        def absorb(_i: int, payload) -> None:
-            payloads, hits = payload
-            base["worker_hits"] += hits
-            self.stats.worker_scan_hits += hits
-            for cached in payloads:
-                on_result(cached, keys[cached.filename])
-                base["completed"] += 1
-
-        tasks = [("scan", (chunk,)) for chunk in chunks]
-        results = self._run_tasks(ctx, tasks, on_payload=absorb)
-        if results is not None:
-            base["batches"] = len(chunks)
-        base["respawns"] = self.stats.respawns - respawns_before
-        base["workers_used"] = min(self._size, len(chunks))
-        return base
+                jobs = []
+            # Chunks keep the caller's largest-first order and are dealt
+            # round-robin, so every worker starts on a large file.
+            size = max(1, min(32, -(-len(jobs) // (self._size * 3))))
+            chunks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+            lanes = self._workers[:len(chunks)]
+            plan = [(w, chunks[i::len(lanes)]) for i, w in enumerate(lanes)]
+            stats = fan_out(
+                plan, ctx, on_result, self._replace, lambda: self._closed
+            )
+            self.stats.batches_sent += len(chunks)
+            self.stats.tasks_completed += stats["batches"]
+            self.stats.worker_scan_hits += stats["worker_hits"]
+            return stats
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ Task messages (parent -> worker), all tuples headed by a kind tag:
 ``("exit",)``         shut the worker down cleanly; no reply
 ====================  ====================================================
 
-``scan`` is shaped ``(kind, batch_id, tctx, jobs)`` where ``tctx`` is
-the parent's trace context — a ``(trace id, parent span id)`` pair from
+``scan`` is shaped ``(kind, batch_id, tctx, jobs)`` where ``batch_id``
+is the batch's index within its op and ``tctx`` is the parent's trace
+context — a ``(trace id, parent span id)`` pair from
 :func:`repro.trace.context.ship`, or ``None`` when the request is
 untraced.  ``ctx``/``crash``/``exit`` carry no trace context.
 
-Replies travel on one shared result queue as
+Replies travel on the worker's own result queue, in task order (so the
+parent matches them to batches by position), as
 ``(worker_id, batch_id, status, payload, spans)`` with ``status``
 either ``"ok"`` or ``"error"`` (handler raised; payload is the
 traceback text — the parent falls back to the serial path).  ``spans``

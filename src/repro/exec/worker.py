@@ -2,7 +2,7 @@
 
 One ``worker_main`` runs per pool process.  The loop pulls task tuples
 from its private queue, dispatches on the kind tag, and pushes replies
-onto the shared result queue.  The worker keeps one piece of *warm*
+onto its private result queue.  The worker keeps one piece of *warm*
 state that outlives individual ``analyze()`` calls, which is the whole
 point of the persistent pool: ``scan_cache`` — content key -> slim
 :class:`CachedScan`, so a file re-submitted unchanged (a warm daemon, a

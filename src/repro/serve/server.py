@@ -84,7 +84,6 @@ class AnalysisService:
         workers: int = 1,
         exec_workers: int | None = None,
         on_job_start: Callable[[Job], None] | None = None,
-        on_job_done: Callable[[Job], None] | None = None,
         store_dir: str | None = None,
         store_label: str = "",
     ):
@@ -123,7 +122,6 @@ class AnalysisService:
         self._job_order: list[str] = []
         self._jobs_lock = threading.Lock()
         self._on_job_start = on_job_start
-        self._on_job_done = on_job_done
         #: Persistent findings store (``--store-dir``); every finished
         #: analyze/reanalyze job auto-records a run into it, and the
         #: /v1/runs + /v1/findings endpoints read from it.
@@ -361,8 +359,6 @@ class AnalysisService:
                 self.metrics.increment("store.record_failed")
         job.mark_done(result)
         self.metrics.observe_job(job.kind, job.run_seconds or 0.0, ok=True)
-        if self._on_job_done is not None:
-            self._on_job_done(job)
 
     # -- findings store ----------------------------------------------------
 
