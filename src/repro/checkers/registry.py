@@ -1,8 +1,8 @@
 """The declarative checker registry.
 
 Every checker registers one :class:`CheckerSpec` describing what it
-needs and what it produces — name, deviation kinds, report bucket,
-ordering constraints, required inputs, and claims protocol.  Every
+produces and when it runs — name, deviation kinds, report bucket, and
+ordering constraints.  Every
 dispatch layer is driven from here:
 
 * :class:`~repro.checkers.runner.CheckerSuite` composes and orders the
@@ -32,13 +32,6 @@ ORDERING = "ordering"
 UNNEEDED = "unneeded"
 ANNOTATION = "annotation"
 _BUCKET_RANK = {ORDERING: 0, UNNEEDED: 1, ANNOTATION: 2}
-
-#: Required-input axes a spec may declare.
-INPUT_PAIRINGS = "pairings"        # pairing list only
-INPUT_CFG = "cfg"                  # needs per-function CFGs
-INPUT_CORPUS = "corpus-global"     # needs run-wide context (all pairings
-#                                    + which of them are buggy, or the
-#                                    unpaired barrier population)
 
 
 @dataclass
@@ -72,19 +65,12 @@ class CheckerSpec:
     #: Report bucket its findings land in (:data:`ORDERING`,
     #: :data:`UNNEEDED`, or :data:`ANNOTATION`).
     bucket: str
-    #: Required inputs (:data:`INPUT_PAIRINGS`, :data:`INPUT_CFG`, or
-    #: :data:`INPUT_CORPUS`).
-    inputs: str
     #: ``run(ctx) -> (findings, claimed)`` over a :class:`CheckContext`.
     run: Callable[[CheckContext], tuple[list, set]]
     #: Position within the bucket (ties broken by name).
     order: int = 0
     #: Names that must be ordered before this spec (same bucket).
     after: tuple[str, ...] = ()
-    #: Claims protocol: emitters add (id(pairing), key) claims;
-    #: consumers read every earlier checker's claims from the context.
-    emits_claims: bool = False
-    consumes_claims: bool = False
 
 
 _REGISTRY: dict[str, CheckerSpec] = {}
@@ -244,39 +230,32 @@ register(CheckerSpec(
     name="reread",
     kinds=(DeviationKind.REPEATED_READ,),
     bucket=ORDERING,
-    inputs=INPUT_CFG,
     run=_run_reread,
     order=10,
-    emits_claims=True,
 ))
 
 register(CheckerSpec(
     name="acquire-release",
     kinds=(DeviationKind.PUBLISH_BEFORE_INIT,),
     bucket=ORDERING,
-    inputs=INPUT_PAIRINGS,
     run=_run_acquire_release,
     order=20,
     after=("reread",),
-    emits_claims=True,
 ))
 
 register(CheckerSpec(
     name="misplaced",
     kinds=(DeviationKind.MISPLACED_ACCESS,),
     bucket=ORDERING,
-    inputs=INPUT_PAIRINGS,
     run=_run_misplaced,
     order=30,
     after=("reread", "acquire-release"),
-    consumes_claims=True,
 ))
 
 register(CheckerSpec(
     name="wrong-type",
     kinds=(DeviationKind.WRONG_BARRIER_TYPE,),
     bucket=ORDERING,
-    inputs=INPUT_PAIRINGS,
     run=_run_wrong_type,
     order=40,
 ))
@@ -285,7 +264,6 @@ register(CheckerSpec(
     name="seqcount",
     kinds=(DeviationKind.REPEATED_READ, DeviationKind.MISPLACED_ACCESS),
     bucket=ORDERING,
-    inputs=INPUT_CFG,
     run=_run_seqcount,
     order=50,
 ))
@@ -294,7 +272,6 @@ register(CheckerSpec(
     name="unneeded",
     kinds=(DeviationKind.UNNEEDED_BARRIER,),
     bucket=UNNEEDED,
-    inputs=INPUT_CORPUS,
     run=_run_unneeded,
     order=10,
 ))
@@ -303,7 +280,6 @@ register(CheckerSpec(
     name="annotate",
     kinds=(DeviationKind.MISSING_ANNOTATION,),
     bucket=ANNOTATION,
-    inputs=INPUT_CORPUS,
     run=_run_annotate,
     order=10,
 ))

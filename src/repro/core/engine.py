@@ -46,7 +46,7 @@ from repro.cparse.typesys import TypeRegistry
 from repro.kernel.barriers import BARRIER_PRIMITIVES
 from repro.kernel.config import KernelConfig, default_config
 from repro.patching.generate import Patch, PatchGenerator
-from repro.trace.context import span as trace_span
+from repro.trace.context import count, current, run_span, span
 
 #: Regex matching any barrier primitive or seqcount helper call; used for
 #: the cheap "does this file contain barriers?" pre-filter.
@@ -230,7 +230,8 @@ class AnalysisResult:
     patches: list[Patch]
     elapsed_seconds: float
     stage_seconds: dict[str, float]
-    #: Fine-grained timing/counter breakdown (CLI ``--profile``).
+    #: Fine-grained timing/counter breakdown (CLI ``--profile``), read
+    #: from the run's ``engine.*`` spans.
     profile: StageProfile = field(default_factory=StageProfile)
 
     @property
@@ -258,7 +259,7 @@ class OFenceEngine:
         self._pairing_index = PairingIndex()
         #: Serializes whole runs.  ``analyze``/``reanalyze_file`` mutate
         #: shared state with no internal synchronization (the file cache,
-        #: the pairing index and its candidate memo, ``self._profile``),
+        #: the pairing index and its candidate memo, the patch memo),
         #: so concurrent callers — the ``repro serve`` engine pool in
         #: particular — must take turns.  Re-entrant so a locked caller
         #: can compose engine methods.
@@ -269,7 +270,6 @@ class OFenceEngine:
         #: validated against the file's content-addressed scan key, so
         #: incremental re-analyses only rebuild diffs the edit changed.
         self._patch_memo: dict[str, tuple] = {}
-        self._profile: StageProfile | None = None
         #: (token, ExecContext) memo so warm re-runs skip re-hashing the
         #: header table.
         self._ctx_memo: tuple | None = None
@@ -291,113 +291,68 @@ class OFenceEngine:
     # -- full analysis ---------------------------------------------------------------
 
     def analyze(self) -> AnalysisResult:
-        with self._lock:
-            try:
-                return self._analyze_locked()
-            finally:
-                # A mid-run exception (a shutting-down executor raising
-                # ExecutorClosed) must not leave a stale profile behind
-                # for the next run to pollute.
-                self._profile = None
-
-    def _analyze_locked(self) -> AnalysisResult:
-        start = time.perf_counter()
-        profile = StageProfile()
-        self._profile = profile
-
-        selected, skipped = self.selected_files()
-        total_with_barriers = len(selected) + len(skipped)
-
-        with profile.stage("scan"), trace_span("engine.scan") as t_scan:
-            pending = self._refresh_cache(selected, profile)
-            if pending:
+        with self._lock, run_span("engine.analyze"):
+            start = time.perf_counter()
+            selected, skipped = self.selected_files()
+            with span("engine.scan", files=len(selected)) as t_scan:
+                pending = self._refresh_cache(selected)
+                t_scan.meta["scanned"] = len(pending)
+                count("scan.scanned", len(pending))
                 executor = (
                     self._active_executor() if len(pending) > 1 else None
                 )
                 if executor is not None:
-                    pending_left = self._executor_scan(
-                        pending, executor, profile
-                    )
-                else:
-                    pending_left = pending
-                for path, key in pending_left:
+                    pending = self._executor_scan(pending, executor)
+                for path, key in pending:
                     self._scan_single(path, key)
-            profile.count("scan.scanned", len(pending))
-            if t_scan is not None:
-                t_scan.meta["files"] = len(selected)
-                t_scan.meta["scanned"] = len(pending)
-        failed = self._failed_files(selected)
-
-        return self._finish(
-            total_with_barriers, selected, skipped, failed, start, profile
-        )
+            return self._finish(selected, skipped, start)
 
     def reanalyze_file(self, path: str, new_text: str | None = None) -> AnalysisResult:
         """Incremental mode: re-scan one file, re-run pairing + checks."""
-        with self._lock:
-            try:
-                return self._reanalyze_file_locked(path, new_text)
-            finally:
-                self._profile = None
-
-    def _reanalyze_file_locked(
-        self, path: str, new_text: str | None = None
-    ) -> AnalysisResult:
-        start = time.perf_counter()
-        profile = StageProfile()
-        self._profile = profile
-        if new_text is not None:
-            self.source.files[path] = new_text
-        selected, skipped = self.selected_files()
-        total_with_barriers = len(selected) + len(skipped)
-
-        with profile.stage("scan"), trace_span("engine.scan", file=path):
-            if path in selected:
-                key = self._scan_key(path)
-                cached = self._file_cache.get(path)
-                if cached is not None and cached.key == key:
-                    profile.count("scan.memory_hits")
-                elif not self._load_from_disk(path, key, profile):
-                    self._scan_single(path, key)
-                    profile.count("scan.scanned")
-            else:
-                self._file_cache.pop(path, None)
-        # The failure list is computed *after* the re-scan, so a file
-        # whose parse error was just fixed drops out of ``files_failed``.
-        failed = self._failed_files(selected)
-        return self._finish(
-            total_with_barriers, selected, skipped, failed, start, profile
-        )
+        with self._lock, run_span("engine.reanalyze"):
+            start = time.perf_counter()
+            if new_text is not None:
+                self.source.files[path] = new_text
+            selected, skipped = self.selected_files()
+            with span("engine.scan", file=path):
+                if path in selected:
+                    key = self._scan_key(path)
+                    cached = self._file_cache.get(path)
+                    if cached is not None and cached.key == key:
+                        count("scan.memory_hits")
+                    elif not self._load_from_disk(path, key):
+                        self._scan_single(path, key)
+                        count("scan.scanned")
+                else:
+                    self._file_cache.pop(path, None)
+            return self._finish(selected, skipped, start)
 
     # -- shared pipeline tail ------------------------------------------------------------
 
     def _finish(
-        self,
-        total_with_barriers: int,
-        selected: list[str],
-        skipped: list[str],
-        failed: list[str],
-        start: float,
-        profile: StageProfile,
+        self, selected: list[str], skipped: list[str], start: float
     ) -> AnalysisResult:
+        """The global tail of a run, inside its run span."""
         from repro.pairing.algorithm import PairingEngine
 
+        # Computed *after* the scan, so a file whose parse error was
+        # just fixed drops out of ``files_failed``.
+        failed = self._failed_files(selected)
         sites: list[BarrierSite] = []
         for path in selected:
             cached = self._file_cache.get(path)
             if cached is not None:
                 sites.extend(cached.sites)
 
-        with profile.stage("pair"), trace_span("engine.pair"):
-            with profile.stage("pair.sync"):
-                updated = self._sync_pairing_index(selected)
-            profile.count("pair.files_updated", updated)
+        with span("engine.pair"):
+            with span("engine.pair.sync"):
+                count("pair.files_updated", self._sync_pairing_index(selected))
             pairer = PairingEngine(index=self._pairing_index)
             pairing = pairer.pair()
             for name, value in pairer.stats.items():
-                profile.count(f"pair.{name}", value)
+                count(f"pair.{name}", value)
 
-        with profile.stage("check"), trace_span("engine.check"):
+        with span("engine.check"):
             suite = CheckerSuite(
                 self._cfg_lookup,
                 annotate=self.options.annotate,
@@ -405,24 +360,26 @@ class OFenceEngine:
             )
             report = suite.run(pairing)
 
-        with profile.stage("fingerprint"):
+        with span("engine.fingerprint"):
             from repro.store.fingerprint import attach_fingerprints
 
             attach_fingerprints(report.all_findings, self.source.files)
 
-        with profile.stage("patch"), trace_span("engine.patch"):
+        with span("engine.patch"):
             generator = PatchGenerator(
                 self.source.files, self._cfg_lookup,
                 memo=self._patch_memo, file_key=self._patch_memo_key,
             )
             patches = generator.generate_all(report.all_findings)
             if generator.memo_hits:
-                profile.count("patch.memo_hits", generator.memo_hits)
+                count("patch.memo_hits", generator.memo_hits)
             if generator.failures:
-                profile.count("patch.failed", len(generator.failures))
+                count("patch.failed", len(generator.failures))
 
+        trace, run_id = current()
+        profile = StageProfile.from_spans(trace.records(), run_id)
         return AnalysisResult(
-            files_with_barriers=total_with_barriers,
+            files_with_barriers=len(selected) + len(skipped),
             files_analyzed=len(selected),
             files_skipped_by_config=skipped,
             files_failed=failed,
@@ -473,27 +430,23 @@ class OFenceEngine:
             text, self.options.config.defines(), memo[1], self.options.limits
         )
 
-    def _refresh_cache(
-        self, selected: list[str], profile: StageProfile
-    ) -> list[tuple[str, str]]:
+    def _refresh_cache(self, selected: list[str]) -> list[tuple[str, str]]:
         """Reconcile the in-memory cache; returns (path, key) to scan."""
         pending: list[tuple[str, str]] = []
-        with profile.stage("scan.keys"):
+        with span("engine.scan.keys"):
             keys = {path: self._scan_key(path) for path in selected}
         for path in selected:
             key = keys[path]
             cached = self._file_cache.get(path)
             if cached is not None and cached.key == key:
-                profile.count("scan.memory_hits")
+                count("scan.memory_hits")
                 continue
-            if self._load_from_disk(path, key, profile):
+            if self._load_from_disk(path, key):
                 continue
             pending.append((path, key))
         return pending
 
-    def _load_from_disk(
-        self, path: str, key: str, profile: StageProfile
-    ) -> bool:
+    def _load_from_disk(self, path: str, key: str) -> bool:
         payload = self._disk_cache.load(key)
         if payload is None:
             return False
@@ -501,7 +454,7 @@ class OFenceEngine:
             filename=path, scanner=None, sites=payload.sites,
             parse_error=payload.parse_error, key=key,
         )
-        profile.count("scan.disk_hits")
+        count("scan.disk_hits")
         return True
 
     def _failed_files(self, selected: list[str]) -> list[FileFailure]:
@@ -558,8 +511,7 @@ class OFenceEngine:
         return ctx
 
     def _executor_scan(
-        self, pending: list[tuple[str, str]], executor,
-        profile: StageProfile,
+        self, pending: list[tuple[str, str]], executor
     ) -> list[tuple[str, str]]:
         """Fan the per-file parse+scan across the persistent pool.
 
@@ -587,14 +539,14 @@ class OFenceEngine:
             self._disk_cache.store(key, payload)
             done.add(payload.filename)
 
-        with profile.stage("scan.exec"):
+        with span("engine.scan.exec"):
             stats = executor.scan(jobs, self._exec_context(), absorb)
-        profile.count("exec.dispatched", stats["completed"])
-        profile.count("exec.batches", stats["batches"])
-        profile.count("exec.scan_warm_hits", stats["worker_hits"])
-        if stats["respawns"]:
-            profile.count("exec.respawns", stats["respawns"])
-        profile.count("exec.workers_used", stats["workers_used"])
+            count("exec.dispatched", stats["completed"])
+            count("exec.batches", stats["batches"])
+            count("exec.scan_warm_hits", stats["worker_hits"])
+            if stats["respawns"]:
+                count("exec.respawns", stats["respawns"])
+            count("exec.workers_used", stats["workers_used"])
         return [(path, key) for path, key in pending if path not in done]
 
     def _scan_single(self, path: str, key: str | None = None) -> str | None:
@@ -683,8 +635,7 @@ class OFenceEngine:
                     for old_use, new_use in zip(old_site.uses, new_site.uses):
                         old_use.access = new_use.access
         cached.scanner = scanner
-        if self._profile is not None:
-            self._profile.count("check.rehydrated_files")
+        count("check.rehydrated_files")
 
     def file_analysis(self, path: str) -> FileAnalysis | None:
         return self._file_cache.get(path)
@@ -756,25 +707,6 @@ def _run_serial(
         options, workers=None, cache_dir=None, executor=None
     )
     return OFenceEngine(source, opts).analyze()
-
-
-@register_run_mode("traced")
-def _run_traced(
-    source: KernelSource, options: AnalysisOptions | None = None
-) -> AnalysisResult:
-    """Serial analysis under an active trace.
-
-    Tracing is strictly observational; this mode exists so the
-    differential oracle continuously proves a traced run's report is
-    bit-for-bit identical to the untraced serial reference.
-    """
-    from repro.trace import start_trace
-
-    opts = _mode_options(
-        options, workers=None, cache_dir=None, executor=None
-    )
-    with start_trace("analyze", node="traced"):
-        return OFenceEngine(source, opts).analyze()
 
 
 @register_run_mode("executor")

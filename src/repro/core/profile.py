@@ -1,44 +1,59 @@
 """Per-stage timing and counter breakdown for one analysis run.
 
-``AnalysisResult.stage_seconds`` keeps the coarse four-stage view the
-benchmarks assert on (scan / pair / check / patch); :class:`StageProfile`
-records the finer breakdown the performance work needs: dotted sub-stages
-(``scan.hash``, ``pair.sync``) and event counters (cache hits, worker
-payloads, pairing candidates reused).  The CLI renders it with
-``--profile``.
+The engine records nothing but :mod:`repro.trace` spans: each run opens
+one run span, every stage and sub-stage below it is an
+``engine.<stage>`` span (``engine.scan``, ``engine.pair.sync``), and
+event counters (cache hits, worker payloads, pairing candidates reused)
+live in those spans' meta.  :class:`StageProfile` is the read-only view
+of one run's subtree that ``--profile``, ``/metrics`` and the
+benchmarks read; ``AnalysisResult.stage_seconds`` keeps its coarse
+top-level stages (scan / pair / check / fingerprint / patch).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterable
+
+from repro.trace.model import SpanRecord
+
+#: Span-name prefix of the engine's stages.
+STAGE_PREFIX = "engine."
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageProfile:
-    """Timings (seconds) and counters collected during one run."""
+    """Timings (seconds) and counters of one run."""
 
     stages: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
 
-    # -- recording ---------------------------------------------------------
+    @classmethod
+    def from_spans(
+        cls, records: Iterable[SpanRecord], run_span_id: str
+    ) -> "StageProfile":
+        """The view over the spans below ``run_span_id``.
 
-    def add(self, name: str, seconds: float) -> None:
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    # -- views -------------------------------------------------------------
+        ``stages[s]`` sums the durations of the run's ``engine.<s>``
+        descendants; ``counters`` sums their dotted meta entries (see
+        :func:`repro.trace.context.count`).  A span is recorded when it
+        opens, so one pass in record order meets parents first.
+        """
+        inside = {run_span_id}
+        stages: dict[str, float] = {}
+        counters: dict[str, int] = {}
+        for record in records:
+            if record.parent_id not in inside:
+                continue
+            inside.add(record.span_id)
+            if not record.name.startswith(STAGE_PREFIX):
+                continue
+            stage = record.name[len(STAGE_PREFIX):]
+            stages[stage] = stages.get(stage, 0.0) + record.duration
+            for name, value in record.meta.items():
+                if "." in name:
+                    counters[name] = counters.get(name, 0) + value
+        return cls(stages, counters)
 
     def coarse(self) -> dict[str, float]:
         """Top-level stages only (no dotted sub-stages)."""

@@ -26,14 +26,12 @@ from repro.core.engine import (
 #: differential oracle.  "cluster" coordinates a live two-node
 #: mini-cluster over the shard protocol — including a node crash
 #: injected mid-analysis — so sharding, merge, and failover are under
-#: the oracle too.  "traced" is serial under an active request trace,
-#: continuously proving that tracing is strictly observational.
-# "store" records the serial result into a throwaway findings store
-# twice and asserts the store's own diff sees no drift, so the
-# fingerprint/record/diff round-trip is under the oracle too.
+#: the oracle too.  "store" records the serial result into a throwaway
+#: findings store twice and asserts the store's own diff sees no drift,
+#: so the fingerprint/record/diff round-trip is under the oracle too.
 DEFAULT_MODES: tuple[str, ...] = (
     "serial", "cached", "incremental", "serve", "executor", "cluster",
-    "traced", "store",
+    "store",
 )
 
 

@@ -21,6 +21,7 @@ the same snapshot in the Prometheus text exposition format
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from collections import deque
@@ -228,8 +229,7 @@ class MetricsRegistry:
                         f"{value / 1000:.6f}"
                     )
         for name, value in snap["counters"].items():
-            metric = "ofence_" + name.replace(".", "_")
-            lines.append(f"{metric} {value}")
+            lines.append(f"{_metric_name('ofence_' + name)} {value}")
         for name, seconds in snap["stage_seconds"].items():
             metric = "ofence_stage_seconds_total{stage=\"%s\"}" % name
             lines.append(f"{metric} {seconds:.6f}")
@@ -268,6 +268,17 @@ _FIXED_SECTIONS = frozenset((
 _GROUP_PREFIXES = {"executor": "ofence_exec_"}
 
 
+#: Characters a Prometheus metric name may not hold; the names must
+#: match ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
+_INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _metric_name(name: str) -> str:
+    """``name`` with every invalid character mapped to ``_`` (counter
+    keys carry dots and checker names such as ``wrong-type``)."""
+    return _INVALID_NAME_CHARS.sub("_", name)
+
+
 def _number(value: Any) -> float | int | None:
     if isinstance(value, bool):
         return int(value)
@@ -279,21 +290,20 @@ def _emit_gauges(lines: list[str], prefix: str, values: dict) -> None:
     one-level dicts as labelled series (``{item="..."}``) — e.g. the
     cluster group's per-node latency/error gauges."""
     for name, value in values.items():
+        name = _metric_name(prefix + name)
         number = _number(value)
         if number is not None:
-            lines.append(f"{prefix}{name} {number}")
+            lines.append(f"{name} {number}")
         elif isinstance(value, dict):
             for item, sub in value.items():
                 number = _number(sub)
                 if number is not None:
-                    lines.append(
-                        f'{prefix}{name}{{item="{item}"}} {number}'
-                    )
+                    lines.append(f'{name}{{item="{item}"}} {number}')
                 elif isinstance(sub, dict):
                     for metric, raw in sub.items():
                         number = _number(raw)
                         if number is not None:
                             lines.append(
-                                f'{prefix}{name}_{metric}'
+                                f'{name}_{_metric_name(metric)}'
                                 f'{{item="{item}"}} {number}'
                             )

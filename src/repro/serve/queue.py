@@ -6,8 +6,9 @@ queued ``reanalyze`` jobs for the same tree, so a burst of delta
 submissions against one warm engine is coalesced into a single
 pool-acquisition — one lock round-trip, maximal reuse of the incremental
 pairing index, FIFO order preserved within the batch.  Coalescing only
-reaches past jobs for *other* trees, so same-tree submission order is
-preserved across batches as well.
+reaches past jobs for *other* trees, and no batch is handed out while
+another batch for its tree is in flight, so same-tree submission order
+is preserved across batches and workers as well.
 
 When the queue is full, :meth:`JobQueue.submit` raises
 :class:`QueueFull`; the HTTP layer translates it into ``503`` with a
@@ -132,6 +133,8 @@ class JobQueue:
         self._pending: deque[Job] = deque()
         self._cond = threading.Condition()
         self._in_flight = 0
+        #: Trees with a batch in flight; their queued jobs wait.
+        self._busy_trees: set[str] = set()
         self._accepting = True
         self._stopped = False
 
@@ -158,45 +161,57 @@ class JobQueue:
     def next_batch(self) -> list[Job] | None:
         """Block for work; None when the queue is stopped and empty.
 
-        The batch is the head job plus queued reanalyze jobs targeting
-        the same tree (original order preserved, capped by
-        ``batch_limit``) — those will run back-to-back on one warm
-        engine.  Coalescing only skips over jobs for *other* trees: the
-        first queued job for the head's tree that is not a coalescible
-        reanalyze (an analyze resetting that tree, say) is an ordering
-        barrier — deltas submitted after it must not run before it, so
-        collection stops there.  Full-analyze jobs always batch alone:
-        they (re)build an engine and dominate the batch anyway.
+        The head is the oldest queued job whose tree has no batch in
+        flight — a job for a busy tree waits, so two workers never run
+        one tree's jobs out of submission order.  The batch is the head
+        plus later queued reanalyze jobs targeting the same tree
+        (original order preserved, capped by ``batch_limit``) — those
+        will run back-to-back on one warm engine.  Coalescing only skips
+        over jobs for *other* trees: the first queued job for the head's
+        tree that is not a coalescible reanalyze (an analyze resetting
+        that tree, say) is an ordering barrier — deltas submitted after
+        it must not run before it, so collection stops there.
+        Full-analyze jobs always batch alone: they (re)build an engine
+        and dominate the batch anyway.
         """
         with self._cond:
-            while not self._pending:
-                if self._stopped:
+            while (first := self._first_ready()) is None:
+                if self._stopped and not self._pending:
                     return None
                 self._cond.wait(timeout=0.5)
-            head = self._pending.popleft()
-            batch = [head]
+            head = self._pending[first]
+            taken = [first]
             if head.kind == "reanalyze":
-                rest: deque[Job] = deque()
-                while self._pending and len(batch) < self.batch_limit:
-                    job = self._pending.popleft()
-                    if (
-                        job.kind == "reanalyze"
-                        and job.tree_key == head.tree_key
-                    ):
-                        batch.append(job)
+                for index in range(first + 1, len(self._pending)):
+                    job = self._pending[index]
+                    if len(taken) >= self.batch_limit:
+                        break
+                    if job.tree_key != head.tree_key:
                         continue
-                    rest.append(job)
-                    if job.tree_key == head.tree_key:
+                    if job.kind != "reanalyze":
                         break  # same-tree barrier: stop coalescing
-                self._pending.extendleft(reversed(rest))
+                    taken.append(index)
+            batch = [self._pending[index] for index in taken]
+            for index in reversed(taken):
+                del self._pending[index]
+            self._busy_trees.add(head.tree_key)
             self._in_flight += len(batch)
             for job in batch:
                 job.batch_size = len(batch)
             return batch
 
-    def done(self, count: int = 1) -> None:
+    def _first_ready(self) -> int | None:
+        """Index of the oldest queued job whose tree is not busy."""
+        return next((
+            index for index, job in enumerate(self._pending)
+            if job.tree_key not in self._busy_trees
+        ), None)
+
+    def done(self, batch: list[Job]) -> None:
+        """Retire a batch from :meth:`next_batch` and release its tree."""
         with self._cond:
-            self._in_flight -= count
+            self._in_flight -= len(batch)
+            self._busy_trees.discard(batch[0].tree_key)
             self._cond.notify_all()
 
     # -- state -------------------------------------------------------------

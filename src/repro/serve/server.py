@@ -249,7 +249,7 @@ class AnalysisService:
                 else:
                     self._run_reanalyze_batch(batch)
             finally:
-                self.queue.done(len(batch))
+                self.queue.done(batch)
 
     @contextmanager
     def _job_ctx(self, job: Job):

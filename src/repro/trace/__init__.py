@@ -10,9 +10,13 @@ single cluster submission yields one coherent span tree covering the
 coordinator, every shard node, and the nodes' exec workers.
 
 Tracing is ambient (a :mod:`contextvars` context variable) and strictly
-observational: with no active trace every instrumentation point is a
-no-op, and with one active the analysis output is bit-for-bit identical
-— the differential oracle's ``traced`` run mode proves it continuously.
+observational.  Spans are the engine's only instrumentation: each run
+records its stages into the ambient trace, or into a private trace
+dropped after the run when none is active, and reads its
+:class:`~repro.core.profile.StageProfile` back from them.  Outside a
+run, with no active trace, every instrumentation point is a no-op.  The
+analysis output is bit-for-bit identical with and without an ambient
+trace (``tests/test_trace.py`` checks every run mode).
 
 Export formats (:mod:`repro.trace.export`): Chrome ``trace_event`` JSON
 (loadable in Perfetto / ``chrome://tracing``) and a compact text tree.
@@ -21,10 +25,12 @@ Export formats (:mod:`repro.trace.export`): Chrome ``trace_event`` JSON
 from repro.trace.context import (
     absorb_remote,
     activate,
+    count,
     current,
     current_trace,
     format_header,
     parse_header,
+    run_span,
     ship,
     ship_header,
     span,
@@ -47,6 +53,7 @@ __all__ = [
     "Trace",
     "absorb_remote",
     "activate",
+    "count",
     "current",
     "current_trace",
     "dangling",
@@ -54,6 +61,7 @@ __all__ = [
     "new_id",
     "parse_header",
     "render_tree",
+    "run_span",
     "ship",
     "ship_header",
     "span",

@@ -1,16 +1,21 @@
 """Ambient trace propagation (contextvars) and the span primitive.
 
 The active trace travels in a :class:`contextvars.ContextVar` as a
-``(Trace, current span id)`` pair, so instrumentation points never
-thread a handle through call signatures:
+``(Trace, current span id, current span record)`` triple, so
+instrumentation points never thread a handle through call signatures:
 
 * :func:`span` opens a child of the current span — and is a complete
   no-op (zero allocations beyond the generator) when no trace is
-  active, which keeps untraced runs untouched;
+  active;
+* :func:`count` adds to a counter in the current span's meta (no-op
+  when inactive);
 * :func:`activate` installs an existing trace (the serve daemon
   activates a job's trace on the worker thread running it);
-* :func:`start_trace` builds a fresh trace with a root span (the CLI
-  and the ``traced`` run mode).
+* :func:`start_trace` builds a fresh trace with a root span (the CLI's
+  ``--trace``);
+* :func:`run_span` opens a span in the ambient trace, or as the root of
+  a private trace when none is active — every engine run records its
+  stages this way, and its ``StageProfile`` is read back from them.
 
 Cross-boundary plumbing: :func:`ship` captures ``(trace id, span id)``
 for the exec task protocol, :func:`ship_header`/:func:`parse_header`
@@ -32,14 +37,15 @@ from typing import Any, Iterable
 
 from repro.trace.model import SpanRecord, Trace
 
-_ACTIVE: ContextVar[tuple[Trace, str | None] | None] = ContextVar(
-    "repro_trace_active", default=None
-)
+_ACTIVE: ContextVar[
+    tuple[Trace, str | None, SpanRecord | None] | None
+] = ContextVar("repro_trace_active", default=None)
 
 
 def current() -> tuple[Trace, str | None] | None:
     """The ambient ``(trace, current span id)`` pair, or ``None``."""
-    return _ACTIVE.get()
+    active = _ACTIVE.get()
+    return active[:2] if active is not None else None
 
 
 def current_trace() -> Trace | None:
@@ -54,7 +60,7 @@ def activate(trace: Trace, parent: str | None = None):
     ``parent`` seeds the current span id, so spans opened inside parent
     to a span that lives elsewhere (the coordinator's RPC span, say).
     """
-    token = _ACTIVE.set((trace, parent))
+    token = _ACTIVE.set((trace, parent, None))
     try:
         yield trace
     finally:
@@ -74,13 +80,13 @@ def span(name: str, node: str | None = None, **meta: Any):
     if active is None:
         yield None
         return
-    trace, parent = active
+    trace, parent, _ = active
     record = SpanRecord(
         name=name, parent_id=parent,
         node=node if node is not None else trace.node, meta=dict(meta),
     )
     trace.add(record)
-    token = _ACTIVE.set((trace, record.span_id))
+    token = _ACTIVE.set((trace, record.span_id, record))
     opened = time.perf_counter()
     try:
         yield record
@@ -106,6 +112,32 @@ def start_trace(
             yield trace
 
 
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` in the current span's meta.
+
+    Counter names are dotted (``scan.disk_hits``), which is what tells
+    them apart from descriptive meta such as ``files``.  A no-op when
+    no span of this process is open.
+    """
+    active = _ACTIVE.get()
+    if active is not None and active[2] is not None:
+        meta = active[2].meta
+        meta[name] = meta.get(name, 0) + amount
+
+
+@contextmanager
+def run_span(name: str, **meta: Any):
+    """A span in the ambient trace, else the root of a private trace.
+
+    Yields ``(trace, record)``.  The private trace is dropped with the
+    block, so a run records its spans whether or not anyone traces it.
+    """
+    active = _ACTIVE.get()
+    trace, parent = active[:2] if active is not None else (Trace(), None)
+    with activate(trace, parent), span(name, **meta) as record:
+        yield trace, record
+
+
 # -- cross-boundary plumbing ------------------------------------------------
 
 
@@ -114,8 +146,7 @@ def ship() -> tuple[str, str | None] | None:
     active = _ACTIVE.get()
     if active is None:
         return None
-    trace, parent = active
-    return trace.trace_id, parent
+    return active[0].trace_id, active[1]
 
 
 def format_header(trace_id: str, parent: str | None = None) -> str:

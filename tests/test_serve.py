@@ -5,6 +5,8 @@ ephemeral port and drive it through :class:`ServeClient` — the same
 wire path production traffic takes.
 """
 
+import re
+import sys
 import threading
 import time
 
@@ -12,6 +14,7 @@ import pytest
 
 from repro.analysis.barrier_scan import ScanLimits
 from repro.core.engine import AnalysisOptions, KernelSource
+from repro.corpus import CorpusSpec, generate_corpus
 from repro.serve import (
     AnalysisServer,
     AnalysisService,
@@ -245,7 +248,10 @@ class TestJobQueue:
         later = _job(key="same")
         for job in (first, other, barrier, later):
             queue.submit(job)
-        pulled = [queue.next_batch() for _ in range(4)]
+        pulled = []
+        for _ in range(4):
+            pulled.append(queue.next_batch())
+            queue.done(pulled[-1])  # a worker retires each batch
         # Original order preserved past the stopped collection.
         assert [batch[0] for batch in pulled] == \
             [first, other, barrier, later]
@@ -285,7 +291,7 @@ class TestJobQueue:
         thread.start()
         time.sleep(0.05)
         assert thread.is_alive(), "drain returned with a job in flight"
-        queue.done(len(batch))
+        queue.done(batch)
         thread.join(timeout=10)
         assert done == [True]
         with pytest.raises(Exception):
@@ -303,6 +309,53 @@ class TestJobQueue:
         queue.stop()
         thread.join(timeout=10)
         assert results == [None]
+
+    def test_stress_one_batch_per_tree_in_submission_order(self):
+        """Six consumers, three trees, a 1 µs switch interval: a tree
+        never has two batches in flight, and each tree's jobs run in
+        submission order."""
+        queue = JobQueue(capacity=256, batch_limit=3)
+        jobs = [
+            _job(kind="analyze" if i % 7 == 0 else "reanalyze",
+                 key=f"t{i % 3}")
+            for i in range(150)
+        ]
+        lock = threading.Lock()
+        in_flight: set[str] = set()
+        overlaps: list[str] = []
+        ran: dict[str, list] = {}
+
+        def consume():
+            while (batch := queue.next_batch()) is not None:
+                key = batch[0].tree_key
+                with lock:
+                    if key in in_flight:
+                        overlaps.append(key)
+                    in_flight.add(key)
+                    ran.setdefault(key, []).extend(batch)
+                time.sleep(0)
+                with lock:
+                    in_flight.discard(key)
+                queue.done(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for job in jobs:
+                queue.submit(job)
+            assert queue.drain(timeout=30)
+            queue.stop()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlaps == []
+        for key, done in ran.items():
+            assert done == [job for job in jobs if job.tree_key == key]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +388,29 @@ class TestMetrics:
         assert "ofence_queue_depth 1" in text
         assert "ofence_pool_size 2" in text
         assert text.endswith("\n")
+
+    def test_prometheus_metric_names_follow_the_grammar(self):
+        corpus = generate_corpus(CorpusSpec.small(), seed=3)
+        service = AnalysisService()
+        try:
+            job = service.submit_analyze(
+                {"source": encode_source(corpus.source)}
+            )
+            assert job.wait(timeout=120) and job.status == "done", job.error
+            text = service.metrics.render_prometheus(
+                **service.metrics_gauges()
+            )
+        finally:
+            service.close()
+        # Checker names such as ``wrong-type`` reach the counter keys.
+        assert "check.findings.wrong-type" in service.metrics.snapshot()[
+            "counters"]
+        grammar = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+        for line in text.splitlines():
+            if not line or line.startswith("#"):
+                continue
+            name = re.split(r"[{ ]", line, maxsplit=1)[0]
+            assert grammar.fullmatch(name), line
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +702,50 @@ class TestServiceBatching:
 # ---------------------------------------------------------------------------
 # Shared process executor
 # ---------------------------------------------------------------------------
+
+
+class TestServiceOrdering:
+    def test_same_tree_jobs_run_in_submission_order(self):
+        """Two workers, two deltas to one file: the second job must not
+        overtake the first while the first is between dequeue and the
+        warm engine's lock."""
+        service = AnalysisService(workers=2)
+        try:
+            warm = service.submit_analyze(
+                {"source": encode_source(small_source())}
+            )
+            assert warm.wait(timeout=60) and warm.status == "done"
+            dequeued = threading.Event()
+            pool_get = service.pool.get
+
+            def slow_get(key):
+                entry = pool_get(key)
+                on_worker = threading.current_thread().name.startswith(
+                    "serve-worker"
+                )
+                if on_worker and not dequeued.is_set():
+                    dequeued.set()
+                    time.sleep(0.5)
+                return entry
+
+            service.pool.get = slow_get
+            edit_a, edit_b = BUGGY_READER, READER + "\n"
+            first = service.submit_reanalyze({
+                "tree_key": warm.tree_key,
+                "deltas": [{"path": "r.c", "text": edit_a}],
+            })
+            assert dequeued.wait(timeout=30)
+            second = service.submit_reanalyze({
+                "tree_key": warm.tree_key,
+                "deltas": [{"path": "r.c", "text": edit_b}],
+            })
+            assert first.wait(timeout=60) and second.wait(timeout=60)
+            assert first.status == second.status == "done"
+            assert second.started_at >= first.finished_at
+            engine = pool_get(warm.tree_key).engine
+            assert engine.source.files["r.c"] == edit_b
+        finally:
+            service.close()
 
 
 class TestServiceExecutor:

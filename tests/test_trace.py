@@ -33,7 +33,6 @@ from repro.exec import AnalysisExecutor, ExecutorClosed
 from repro.exec.protocol import ExecContext
 from repro.fuzz.differential import DEFAULT_MODES, run_signature
 from repro.fuzz.generate import generate_case
-from repro.fuzz.harness import run_fuzz
 from repro.serve.client import ClientError, ServeClient
 from repro.serve.metrics import LatencyWindow, MetricsRegistry
 from repro.serve.server import AnalysisServer, AnalysisService
@@ -225,15 +224,14 @@ class TestEngineTracing:
         assert run_signature(result) == baseline, mode
         assert dangling(trace.export()) == []
 
-    def test_traced_mode_differential_over_25_seeds(self, tmp_path):
-        report = run_fuzz(
-            iterations=25,
-            seed=0,
-            artifacts_dir=str(tmp_path),
-            reduce=False,
-            modes=("serial", "traced"),
-        )
-        assert report.ok, report.render()
+    def test_traced_mode_differential_over_25_seeds(self):
+        for seed in range(25):
+            case = generate_case(seed)
+            untraced = run_signature(run_in_mode("serial", case.source))
+            with start_trace("analyze", node="traced") as trace:
+                traced = run_in_mode("serial", case.source)
+            assert run_signature(traced) == untraced, seed
+            assert dangling(trace.export()) == [], seed
 
 
 # ---------------------------------------------------------------------------
