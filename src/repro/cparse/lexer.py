@@ -5,11 +5,18 @@ The lexer understands the lexical grammar of C plus a few kernel-isms
 punctuation).  Preprocessor directives are emitted as dedicated
 ``DIRECTIVE`` tokens holding the raw directive line so that the
 preprocessor can interpret them; everything else is ordinary C tokens.
+
+:func:`tokenize` is one compiled master regex matched in a
+``match(text, pos)`` loop: each match is the whitespace/comment gap plus
+one token, and line/column come from newline counting between tokens.
+Non-ASCII input leaves the fast path for the few branches where the
+``str.isalpha``/``str.isdigit`` rules differ from the regex classes.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -89,194 +96,160 @@ class Token:
         return f"{self.filename}:{self.line}:{self.column}"
 
 
-class Lexer:
-    """Streaming tokenizer over a single translation unit's text."""
+_new_object = object.__new__
 
-    def __init__(self, text: str, filename: str = "<source>"):
-        self._text = text
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input, returning tokens plus a final EOF."""
-        out: list[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
+def _token(kind: TokenKind, value: str, filename: str, line: int,
+           column: int) -> Token:
+    """A :class:`Token` built by filling its ``__dict__`` in field order:
+    equal, hashing and pickling like ``Token(...)`` at a third of the
+    cost of the frozen dataclass's ``__init__``."""
+    tok = _new_object(Token)
+    attrs = tok.__dict__
+    attrs["kind"] = kind
+    attrs["value"] = value
+    attrs["filename"] = filename
+    attrs["line"] = line
+    attrs["column"] = column
+    return tok
 
-    # -- internals ---------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self._pos + offset
-        return self._text[idx] if idx < len(self._text) else ""
+#: The skipped gap between tokens: whitespace, ``\\\n`` and comments.
+_GAP = r"(?:[ \t\r\n]+|\\\n|//[^\n]*|/\*(?s:.*?)\*/)*"
+#: The gap's pieces, with each real newline (not ``\\\n``, not one inside
+#: a comment) a piece of its own.
+_GAP_PIECES = re.compile(r"[ \t\r]+|\n|\\\n|//[^\n]*|/\*(?s:.*?)\*/")
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._text):
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
+_BLOCK_COMMENT_TO_EOF = r"/\*(?s:.*?)(?:\*/|\Z)"
+_SINGLE_PUNCT = "".join(re.escape(p) for p in _PUNCTUATORS if len(p) == 1)
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self._filename, self._line, self._col)
+#: The gap, then one token.  ``SLOW`` takes what the ASCII fast groups
+#: cannot decide: ``#``, an unterminated ``/*`` (the gap eats terminated
+#: ones), non-ASCII text, unterminated literals and stray characters.
+_MASTER = re.compile(
+    f"{_GAP}(?:"
+    r"(?P<IDENT>[A-Za-z_]\w*)"
+    r"|(?P<NUMBER>0[xX][0-9a-fA-F]*[uUlLfF]*"
+    r"|\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]+)?[uUlLfF]*)"
+    r'|(?P<STRING>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")'
+    r"|(?P<CHAR>'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*')"
+    rf"|(?P<SLOW>/\*|\.(?=[^\x00-\x7f])|[^{_SINGLE_PUNCT}])"
+    r"|(?P<PUNCT>"
+    + "|".join(re.escape(p) for p in _PUNCTUATORS if len(p) > 1)
+    + f"|[{_SINGLE_PUNCT}])"
+    r"|(?P<EOF>\Z))"
+)
+_FAST_KINDS = {name: TokenKind[name]
+               for name in ("IDENT", "NUMBER", "STRING", "CHAR", "PUNCT")}
 
-    def _make(self, kind: TokenKind, value: str, line: int, col: int) -> Token:
-        return Token(kind, value, self._filename, line, col)
+#: A directive runs to the next real newline or ``//``; ``\\\n`` and
+#: ``/* */`` (which may span lines, or run to EOF unterminated) are part
+#: of it and read as one space each.
+_DIRECTIVE = re.compile(
+    r"(?:[^\n\\/]+|\\\n|\\(?!\n)|" + _BLOCK_COMMENT_TO_EOF + r"|/(?![/*]))*"
+)
+_DIRECTIVE_SPACES = re.compile(r"\\\n|" + _BLOCK_COMMENT_TO_EOF)
 
-    def _skip_whitespace_and_comments(self) -> bool:
-        """Skip spaces and comments; return True if at a line start after
-        only whitespace (used to recognise preprocessor directives)."""
-        at_line_start = self._col == 1
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r":
-                self._advance()
-            elif ch == "\n":
-                self._advance()
-                at_line_start = True
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return at_line_start
-        return at_line_start
+_WORD = re.compile(r"\w+")
+_LITERAL_BODY = {
+    '"': re.compile(r'[^"\\\n]*(?:\\[^\n][^"\\\n]*)*'),
+    "'": re.compile(r"[^'\\\n]*(?:\\[^\n][^'\\\n]*)*"),
+}
+_LITERAL_NAME = {'"': "string literal", "'": "character literal"}
 
-    def _next_token(self) -> Token:
-        at_line_start = self._skip_whitespace_and_comments()
-        line, col = self._line, self._col
-        if self._pos >= len(self._text):
-            return self._make(TokenKind.EOF, "", line, col)
 
-        ch = self._peek()
+def _error(text: str, filename: str, pos: int, message: str) -> LexError:
+    line = text.count("\n", 0, pos) + 1
+    return LexError(message, filename, line, pos - text.rfind("\n", 0, pos))
 
-        if ch == "#" and at_line_start:
-            return self._lex_directive(line, col)
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(line, col)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-        if ch == "'":
-            return self._lex_char(line, col)
-        for punct in _PUNCTUATORS:
-            if self._text.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return self._make(TokenKind.PUNCT, punct, line, col)
-        raise self._error(f"unexpected character {ch!r}")
 
-    def _lex_directive(self, line: int, col: int) -> Token:
-        """Consume a full preprocessor line (with continuations)."""
-        chars: list[str] = []
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                chars.append(" ")
-                continue
-            if ch == "\n":
-                break
-            # Strip comments inside directives.
-            if ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                chars.append(" ")
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        return self._make(TokenKind.DIRECTIVE, "".join(chars).strip(), line, col)
-
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._text) and (
-            self._peek().isalnum() or self._peek() == "_"
+def _number_end(text: str, pos: int) -> int:
+    """End of the number at ``pos`` by ``str.isdigit`` rules (Unicode
+    digits such as ``²`` count), for numbers next to non-ASCII text."""
+    n = len(text)
+    if text.startswith(("0x", "0X"), pos):
+        pos += 2
+        while pos < n and text[pos] in "0123456789abcdefABCDEF":
+            pos += 1
+    else:
+        while pos < n and (text[pos].isdigit() or text[pos] == "."):
+            pos += 1
+        e, sign, digit = text[pos:pos + 1], text[pos + 1:pos + 2], \
+            text[pos + 2:pos + 3]
+        if e and e in "eE" and (
+            sign.isdigit() or (sign in "+-" and digit.isdigit())
         ):
-            self._advance()
-        value = self._text[start:self._pos]
-        kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
-        return self._make(kind, value, line, col)
+            pos += 2
+            while pos < n and text[pos].isdigit():
+                pos += 1
+    while pos < n and text[pos] in "uUlLfF":
+        pos += 1
+    return pos
 
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._pos < len(self._text) and (
-                self._peek() in "0123456789abcdefABCDEF"
-            ):
-                self._advance()
-        else:
-            while self._pos < len(self._text) and (
-                self._peek().isdigit() or self._peek() == "."
-            ):
-                self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                self._advance(2)
-                while self._pos < len(self._text) and self._peek().isdigit():
-                    self._advance()
-        # Integer suffixes (u, l, ul, ull, ...).
-        while self._pos < len(self._text) and self._peek() in "uUlLfF":
-            self._advance()
-        return self._make(TokenKind.NUMBER, self._text[start:self._pos], line, col)
 
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._pos < len(self._text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            if self._peek() == "\n":
-                raise self._error("unterminated string literal")
-            self._advance()
-        if self._pos >= len(self._text):
-            raise self._error("unterminated string literal")
-        self._advance()  # closing quote
-        return self._make(TokenKind.STRING, self._text[start:self._pos], line, col)
-
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._pos < len(self._text) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            if self._peek() == "\n":
-                raise self._error("unterminated character literal")
-            self._advance()
-        if self._pos >= len(self._text):
-            raise self._error("unterminated character literal")
-        self._advance()  # closing quote
-        return self._make(TokenKind.CHAR, self._text[start:self._pos], line, col)
+def _slow_token(text: str, filename: str, gap_start: int,
+                start: int) -> tuple[TokenKind, int]:
+    """Kind and end of a ``SLOW`` token at ``start``, or its LexError."""
+    ch = text[start]
+    if ch == "#":
+        # A directive needs a line start: the gap begins a line or holds
+        # a real newline (not ``\\\n``, not one inside ``/* */``).
+        if gap_start == 0 or text[gap_start - 1] == "\n" or any(
+            part.group() == "\n"
+            for part in _GAP_PIECES.finditer(text, gap_start, start)
+        ):
+            return TokenKind.DIRECTIVE, _DIRECTIVE.match(text, start).end()
+    elif text.startswith("/*", start):
+        raise _error(text, filename, len(text), "unterminated block comment")
+    elif ch in _LITERAL_BODY:
+        stop = _LITERAL_BODY[ch].match(text, start + 1).end()
+        if text.startswith("\\", stop):
+            stop += 1  # the escaped newline, or EOF
+        raise _error(text, filename, stop, f"unterminated {_LITERAL_NAME[ch]}")
+    elif ch == "." and not text[start + 1].isdigit():
+        return TokenKind.PUNCT, start + 1
+    elif ch.isalpha():
+        return TokenKind.IDENT, _WORD.match(text, start).end()
+    elif ch == "." or ch.isdigit():
+        return TokenKind.NUMBER, _number_end(text, start)
+    raise _error(text, filename, start, f"unexpected character {ch!r}")
 
 
 def tokenize(text: str, filename: str = "<source>") -> list[Token]:
-    """Tokenize ``text``; convenience wrapper around :class:`Lexer`."""
-    return Lexer(text, filename).tokens()
+    """Tokenize ``text``, returning its tokens plus a final EOF."""
+    out: list[Token] = []
+    append = out.append
+    match = _MASTER.match
+    count = text.count
+    fast_kinds = _FAST_KINDS
+    IDENT, DIRECTIVE = TokenKind.IDENT, TokenKind.DIRECTIVE
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    counted = 0  # the newlines before this offset are in ``line``
+    while True:
+        m = match(text, pos)
+        group = m.lastgroup
+        start, end = m.span(group)
+        newlines = count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        kind = fast_kinds.get(group)
+        if kind is None:
+            if group == "EOF":
+                append(_token(TokenKind.EOF, "", filename, line, column))
+                return out
+            kind, end = _slow_token(text, filename, pos, start)
+        elif group == "NUMBER" and not text[end:end + 3].isascii():
+            end = _number_end(text, start)  # Unicode digits may follow
+        value = text[start:end]
+        if kind is IDENT:
+            if value in KEYWORDS:
+                kind = TokenKind.KEYWORD
+        elif kind is DIRECTIVE:
+            value = _DIRECTIVE_SPACES.sub(" ", value).strip()
+        append(_token(kind, value, filename, line, column))
+        pos = end

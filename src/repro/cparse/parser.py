@@ -83,7 +83,13 @@ class ParseError(Exception):
 
 
 class Parser:
-    """Parses a preprocessed token stream into a TranslationUnit."""
+    """Parses a preprocessed token stream into a TranslationUnit.
+
+    ``DIRECTIVE`` tokens are dropped: the preprocessor passes through the
+    ones a macro body starting with ``#`` expands to (``#define S(x) #x``).
+    ``tokens`` must end with the EOF token, which look-ahead past the end
+    reads.
+    """
 
     def __init__(self, tokens: list[Token], typedefs: frozenset[str] | set[str] = KERNEL_TYPEDEFS):
         self._tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
@@ -94,8 +100,10 @@ class Parser:
     # -- token helpers -------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
+        try:
+            return self._tokens[self._pos + offset]
+        except IndexError:  # look-ahead past the end reads the final EOF
+            return self._tokens[-1]
 
     def _next(self) -> Token:
         tok = self._peek()
@@ -910,7 +918,6 @@ def parse_source(
 
     if defines is None and include_resolver is None:
         tokens = tokenize(text, filename)
-        tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
     else:
         pp = Preprocessor(defines or {}, include_resolver)
         tokens = pp.preprocess(text, filename)

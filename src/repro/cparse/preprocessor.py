@@ -19,8 +19,9 @@ real C preprocessors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cparse.lexer import Token, TokenKind, tokenize
 
@@ -34,7 +35,7 @@ class Macro:
     """A macro definition (object-like when ``params`` is None)."""
 
     name: str
-    body: list[Token]
+    body: Sequence[Token]
     params: list[str] | None = None
     variadic: bool = False
 
@@ -44,6 +45,20 @@ class Macro:
 
 
 IncludeResolver = Callable[[str, bool], "str | None"]
+
+
+@functools.lru_cache(maxsize=512)
+def _shared_tokens(text: str, filename: str) -> tuple[Token, ...]:
+    """``tokenize(text, filename)`` memoized as an immutable tuple.
+
+    For headers and ``#define``/CONFIG values, which every includer of a
+    tree lexes again.  The main file is never memoized: it is lexed once,
+    and keeping every file's tokens alive costs more in GC than it saves.
+    A paper-scale corpus tree needs 14 entries (13 headers, one CONFIG
+    value); the bound leaves room for real trees' headers and defines
+    while capping the memo at about 12 MB of corpus-sized headers.
+    """
+    return tuple(tokenize(text, filename))
 
 
 def _is_macro_name(tok: Token, macros: dict[str, Macro]) -> bool:
@@ -81,7 +96,9 @@ class Preprocessor:
     def __post_init__(self) -> None:
         self._macros: dict[str, Macro] = {}
         for name, value in self.defines.items():
-            self._macros[name] = Macro(name, tokenize(value)[:-1])
+            self._macros[name] = Macro(
+                name, _shared_tokens(value, "<source>")[:-1]
+            )
         self._included: set[str] = set()
 
     # -- public API --------------------------------------------------------
@@ -98,7 +115,7 @@ class Preprocessor:
 
     # -- directive handling ------------------------------------------------
 
-    def _process(self, tokens: list[Token], depth: int) -> list[Token]:
+    def _process(self, tokens: Sequence[Token], depth: int) -> list[Token]:
         if depth > self.max_include_depth:
             raise PreprocessorError("maximum include depth exceeded")
         out: list[Token] = []
@@ -216,11 +233,14 @@ class Preprocessor:
                         params.append(p)
             body = rest[close + 1:].strip()
             self._macros[name] = Macro(
-                name, tokenize(body, tok.filename)[:-1], params, variadic
+                name, _shared_tokens(body, tok.filename)[:-1], params,
+                variadic,
             )
         else:
             body = rest[name_end:].strip()
-            self._macros[name] = Macro(name, tokenize(body, tok.filename)[:-1])
+            self._macros[name] = Macro(
+                name, _shared_tokens(body, tok.filename)[:-1]
+            )
 
     def _include(
         self, rest: str, tok: Token, out: list[Token], depth: int
@@ -240,7 +260,7 @@ class Preprocessor:
         if source is None:
             return
         self._included.add(name)
-        sub = tokenize(source, name)
+        sub = _shared_tokens(source, name)
         out.extend(self._process(sub[:-1], depth + 1))
 
     # -- #if condition evaluation -------------------------------------------
@@ -287,7 +307,7 @@ class Preprocessor:
     # -- macro expansion ----------------------------------------------------
 
     def _expand_macro(
-        self, tokens: list[Token], index: int, hide: set[str]
+        self, tokens: Sequence[Token], index: int, hide: set[str]
     ) -> tuple[list[Token], int]:
         """Expand the macro at ``tokens[index]``.
 
@@ -339,7 +359,7 @@ class Preprocessor:
         )
 
     def _collect_args(
-        self, tokens: list[Token], open_index: int, tok: Token
+        self, tokens: Sequence[Token], open_index: int, tok: Token
     ) -> tuple[list[list[Token]], int]:
         """Collect macro call arguments; ``open_index`` is at '('."""
         args: list[list[Token]] = []
@@ -369,7 +389,7 @@ class Preprocessor:
         raise PreprocessorError(f"{tok.location}: unterminated macro call")
 
     def _rescan(
-        self, tokens: list[Token], hide: set[str], origin: Token
+        self, tokens: Sequence[Token], hide: set[str], origin: Token
     ) -> list[Token]:
         """Re-scan a replacement list for further macro expansion."""
         out: list[Token] = []

@@ -21,8 +21,11 @@ class SourceEditor:
     #: line -> list of lines inserted *after* it (0 = top of file).
     _insertions: dict[int, list[str]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._lines = self.source.splitlines()
+
     def line(self, number: int) -> str:
-        return self.source.splitlines()[number - 1]
+        return self._lines[number - 1]
 
     def replace_line(self, number: int, text: str) -> None:
         self._replacements[number] = text
@@ -65,7 +68,7 @@ class SourceEditor:
         out: list[str] = []
         for extra in self._insertions.get(0, ()):
             out.append(extra)
-        for number, text in enumerate(self.source.splitlines(), start=1):
+        for number, text in enumerate(self._lines, start=1):
             if number in self._deletions:
                 pass
             elif number in self._replacements:

@@ -233,6 +233,9 @@ class MetricsRegistry:
         for name, seconds in snap["stage_seconds"].items():
             metric = "ofence_stage_seconds_total{stage=\"%s\"}" % name
             lines.append(f"{metric} {seconds:.6f}")
+        for name, value in snap["stage_counters"].items():
+            metric = "ofence_stage_counter_total{counter=\"%s\"}" % name
+            lines.append(f"{metric} {value}")
         for name, value in snap["cache"].items():
             lines.append(f"ofence_cache_{name} {value}")
         if snap["trace_spans"]:

@@ -1,8 +1,14 @@
 """Unit tests for the C lexer."""
 
+import os
+import random
+
 import pytest
 
+from repro.corpus import CorpusSpec, generate_corpus
 from repro.cparse.lexer import LexError, Token, TokenKind, tokenize
+from repro.fuzz.generate import generate_case
+from tests.lexer_reference import reference_tokenize
 
 
 def kinds(text):
@@ -212,3 +218,71 @@ class TestKernelSnippets:
         vals = values(src)
         assert vals[0] == "seqcount_t"
         assert "&" in vals
+
+
+# ---------------------------------------------------------------------------
+# Differential: the master-regex tokenizer against the char-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+#: Characters whose handling differs between lexer branches: directive
+#: and comment starts, continuations, quotes, characters that must raise,
+#: Unicode letters/digits (``isalpha``/``isdigit`` rules) and number parts.
+_MUTANT_ALPHABET = list("#/*\\\n\"'\t\r\f$@é²٣019xXeE+-.uUlL")
+
+_REGRESSIONS = [
+    "9E²", "9E٣", "1e+5", "1e+²", ".5f", ".²", "0x", "0", '"a\\\nb"',
+    "a /*\n*/ #x", "x;\n /* c */ #define A 1\n",
+    "#define A /* one\n two */ 3\nint a;", "#define A /* open",
+    '#define A "//" 1\n', "a\\\n#x", "\\\n#x", "'a\\", "\\", "½",
+    "é9 x.٣ a.é ..5",
+]
+
+
+def _outcome(lex, text):
+    try:
+        return lex(text, "diff.c")
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.column)
+
+
+def _assert_same(text):
+    assert _outcome(tokenize, text) == _outcome(reference_tokenize, text), \
+        repr(text)
+
+
+def _diff_seeds():
+    return int(os.environ.get("LEXER_DIFF_SEEDS", "50"))
+
+
+@pytest.fixture(scope="module")
+def paper_texts():
+    source = generate_corpus(CorpusSpec.paper()).source
+    return list(source.files.values()) + list(source.headers.values())
+
+
+class TestDifferential:
+    def test_paper_corpus_files_and_headers(self, paper_texts):
+        for text in paper_texts:
+            _assert_same(text)
+
+    def test_fuzz_cases(self):
+        for seed in range(_diff_seeds()):
+            case = generate_case(seed)
+            for text in [*case.files.values(), *case.headers.values()]:
+                _assert_same(text)
+
+    def test_splice_mutants(self, paper_texts):
+        rng = random.Random(15)
+        for _ in range(40 * _diff_seeds()):
+            base = rng.choice(paper_texts)
+            at = rng.randrange(len(base) + 1)
+            chars = list(base[max(0, at - rng.randint(0, 80)):
+                              at + rng.randint(0, 80)])
+            for _ in range(rng.randint(1, 6)):
+                chars.insert(rng.randint(0, len(chars)),
+                             rng.choice(_MUTANT_ALPHABET))
+            _assert_same("".join(chars))
+
+    @pytest.mark.parametrize("text", _REGRESSIONS)
+    def test_regressions(self, text):
+        _assert_same(text)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cparse import astnodes as ast
-from repro.cparse.parser import ParseError, parse_source
+from repro.cparse.parser import KERNEL_TYPEDEFS, ParseError, Parser, parse_source
+from repro.cparse.preprocessor import Preprocessor
 
 
 def parse(src):
@@ -334,6 +335,20 @@ class TestErrors:
             parse_source("void f(void) { a = ; }", "bad.c")
         assert "bad.c" in str(exc.value)
 
+    @pytest.mark.parametrize("src, column", [
+        # Typedef-declaration look-ahead over ``*`` runs off the end.
+        ("void f(void) { u32 * * * *", 27),
+        # Cast look-ahead scans for ``)`` up to the end.
+        ("void f(void) { x = (u32 * * * *", 32),
+    ])
+    def test_look_ahead_past_end_reads_eof(self, src, column):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == (
+            f"test.c:1:{column}: expected expression (at '')"
+        )
+        assert exc.value.token.kind.value == "eof"
+
 
 class TestKernelPatterns:
     def test_listing_1(self, listing1):
@@ -374,3 +389,20 @@ class TestKernelPatterns:
     def test_read_once_call(self):
         expr = first_expr("task = READ_ONCE(event->task)")
         assert expr.value.callee_name == "READ_ONCE"
+
+    @pytest.mark.parametrize("src", [
+        "#define S(x) #x\nvoid f(void) { g(S(a)); }",
+        "#define __stringify_1(x...) #x\n"
+        "#define __stringify(x...) __stringify_1(x)\n"
+        "void f(void) { g(__stringify(a b)); }",
+    ])
+    def test_stringify_macro_expands_to_nothing(self, src):
+        # A macro body starting with ``#`` lexes as a DIRECTIVE token,
+        # which the preprocessor passes through and the parser drops.
+        lines = src.count("\n")
+        expected = repr(parse_source("\n" * lines + "void f(void) { g(); }"))
+        assert repr(parse_source(src, defines={})) == expected
+        tokens = Preprocessor({}).preprocess(src)
+        assert any(t.kind.value == "directive" for t in tokens)
+        unit = Parser(tokens, KERNEL_TYPEDEFS).parse_translation_unit()
+        assert repr(unit) == expected

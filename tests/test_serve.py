@@ -402,9 +402,15 @@ class TestMetrics:
             )
         finally:
             service.close()
+        snap = service.metrics.snapshot()
         # Checker names such as ``wrong-type`` reach the counter keys.
-        assert "check.findings.wrong-type" in service.metrics.snapshot()[
-            "counters"]
+        assert "check.findings.wrong-type" in snap["counters"]
+        # Engine stage counters are rendered with their JSON values.
+        for name in ("scan.scanned", "pair.candidates_computed"):
+            value = snap["stage_counters"][name]
+            assert value > 0
+            assert (f'ofence_stage_counter_total{{counter="{name}"}} '
+                    f"{value}") in text.splitlines()
         grammar = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
         for line in text.splitlines():
             if not line or line.startswith("#"):
